@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
 
 from . import generalized, homology, skelfile
 from .lattices import is_isometric
@@ -28,12 +27,11 @@ from .pseudotrees import (
     verify_series,
 )
 from .skeletons import (
-    Orientation,
     SkeletonError,
     fiber_types,
     genus,
+    orientation_classes,
     regions,
-    reorient,
 )
 
 
@@ -124,29 +122,27 @@ def analyze_labelled(lsk):
 
 
 def orientation_sweep(sk):
-    """One row per orientation class modulo vertex flips."""
-    nv = len(sk.vertices)
-    classes = {}
-    for heads in product(*sk.edges):
-        o = Orientation(heads)
-        key = min(
-            tuple(reorient(sk, o, [v for v in range(nv) if bits >> v & 1]).heads)
-            for bits in range(2**nv)
+    """One row per orientation class modulo vertex flips.
+
+    The classes are the cosets of the cut space, 2^(E-V+1) of them on a
+    connected skeleton.  Each row's `heads` is the lexicographically
+    smallest orientation in its class, and the rows are sorted by it.
+    """
+    rows = []
+    for o in orientation_classes(sk):
+        types, k, t = fiber_types(sk, o)
+        T = homology.transcendental_lattice(sk, o)
+        mw = homology.mordell_weil(sk, o)
+        rows.append(
+            {
+                "heads": list(o.heads),
+                "fibers": sorted(ft.name for ft in types.values()),
+                "t": t,
+                "transcendental_gram": _gram_list(T),
+                "mordell_weil": _mw_dict(mw),
+            }
         )
-        if key in classes:
-            continue
-        oc = Orientation(key)
-        types, k, t = fiber_types(sk, oc)
-        T = homology.transcendental_lattice(sk, oc)
-        mw = homology.mordell_weil(sk, oc)
-        classes[key] = {
-            "heads": list(key),
-            "fibers": sorted(ft.name for ft in types.values()),
-            "t": t,
-            "transcendental_gram": _gram_list(T),
-            "mordell_weil": _mw_dict(mw),
-        }
-    return [classes[k] for k in sorted(classes)]
+    return rows
 
 
 def _emit(doc, as_json, out):
@@ -299,6 +295,16 @@ def cmd_enumerate(args, out):
     return 0
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="ellskel",
@@ -314,12 +320,12 @@ def build_parser():
 
     pv = sub.add_parser("verify-series", help="check the closed-form lattice series")
     pv.add_argument("series", choices=list(SERIES) + ["all"])
-    pv.add_argument("--s-max", type=int, default=2)
+    pv.add_argument("--s-max", type=_positive_int, default=2)
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify_series)
 
     pe = sub.add_parser("enumerate", help="all loop-decorated trees of size k")
-    pe.add_argument("k", type=int)
+    pe.add_argument("k", type=_positive_int)
     pe.add_argument("--dedup", action="store_true")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_enumerate)

@@ -12,6 +12,7 @@ module H = Za + Zb with the symplectic product a.b = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from . import lattices
@@ -99,11 +100,18 @@ class Skeleton:
         """op orbits as sorted pairs, ordered by the smaller end."""
         return [(i, self.op[i]) for i in range(self.n_ends) if i < self.op[i]]
 
-    def vertex_of(self, end):
+    @cached_property
+    def _vertex_index(self):
+        index = [0] * self.n_ends
         for i, v in enumerate(self.vertices):
-            if end in v:
-                return i
-        raise ValueError(f"no such end {end}")
+            for end in v:
+                index[end] = i
+        return index
+
+    def vertex_of(self, end):
+        if not 0 <= end < self.n_ends:
+            raise ValueError(f"no such end {end}")
+        return self._vertex_index[end]
 
     def counts(self):
         return {
@@ -174,6 +182,38 @@ def reorient(sk, orientation, vertex_subset):
 
 def all_orientations(sk):
     for heads in product(*sk.edges):
+        yield Orientation(heads)
+
+
+def orientation_classes(sk):
+    """The smallest orientation of each class modulo vertex flips, in order.
+
+    Flipping a vertex subset S flips the edges of the cut of S, so a class
+    is a coset of the GF(2) cut space: 2^(E-V+1) classes on a connected
+    skeleton.  Order heads tuples lexicographically, edge 0 first.  The
+    pivots of the cut space in that order are the edges of the greedy
+    spanning forest (an edge whose ends are not yet joined by earlier
+    edges), and the smallest vector of a coset is the one that is zero on
+    every pivot.  So the class minima are the orientations with every
+    forest edge headed at its smaller end, one per choice on the other
+    edges.
+    """
+    root = list(range(len(sk.vertices)))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    choices = []
+    for a, b in sk.edges:
+        ra, rb = find(sk.vertex_of(a)), find(sk.vertex_of(b))
+        if ra != rb:
+            root[ra] = rb
+            choices.append((a,))
+        else:
+            choices.append((a, b))
+    for heads in product(*choices):
         yield Orientation(heads)
 
 

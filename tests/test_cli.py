@@ -3,15 +3,22 @@ import random
 
 import pytest
 
-from ellskel import skelfile
-from ellskel.cli import main
+from ellskel import homology, skelfile
+from ellskel.cli import main, orientation_sweep
 from ellskel.generalized import from_skeleton, insert_E_fiber
 from ellskel.pseudotrees import (
     enumerate_marked_trees,
     orientation_for_series,
     tree_to_skeleton,
 )
-from ellskel.skeletons import SkeletonError, default_orientation, fiber_types
+from ellskel.skeletons import (
+    Orientation,
+    SkeletonError,
+    all_orientations,
+    default_orientation,
+    fiber_types,
+    reorient,
+)
 
 from test_skeletons import PSEUDOTREE_K1, random_skeleton
 
@@ -170,6 +177,78 @@ def test_orientation_sweep(tmp_path, capsys):
     assert len(sweep) == 4
     for row in sweep:
         assert (len([x for x in row["fibers"] if x.startswith("D")]) + 1) % 2 == 0
+
+
+def brute_force_sweep(sk):
+    """Reference sweep: each class keyed by its minimum over all 2^V flips."""
+    nv = len(sk.vertices)
+    classes = {}
+    for o in all_orientations(sk):
+        key = min(
+            tuple(reorient(sk, o, [v for v in range(nv) if bits >> v & 1]).heads)
+            for bits in range(2**nv)
+        )
+        if key in classes:
+            continue
+        oc = Orientation(key)
+        types, k, t = fiber_types(sk, oc)
+        T = homology.transcendental_lattice(sk, oc)
+        mw = homology.mordell_weil(sk, oc)
+        classes[key] = {
+            "heads": list(key),
+            "fibers": sorted(ft.name for ft in types.values()),
+            "t": t,
+            "transcendental_gram": [list(r) for r in T.gram],
+            "mordell_weil": {"free_rank": mw.free_rank,
+                             "torsion": list(mw.torsion)},
+        }
+    return [classes[k] for k in sorted(classes)]
+
+
+def test_orientation_sweep_matches_brute_force():
+    rng = random.Random(2026)
+    loops = multi = 0
+    for n_vertices, count in ((2, 8), (4, 6), (6, 3)):
+        for _ in range(count):
+            sk = random_skeleton(rng, n_vertices)
+            pairs = [(sk.vertex_of(a), sk.vertex_of(b)) for a, b in sk.edges]
+            loops += any(u == v for u, v in pairs)
+            multi += len({tuple(sorted(p)) for p in pairs}) < len(pairs)
+            rows = orientation_sweep(sk)
+            dump = json.dumps(rows, sort_keys=True)
+            assert dump == json.dumps(brute_force_sweep(sk), sort_keys=True)
+            keys = [tuple(r["heads"]) for r in rows]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert len(keys) == 2 ** (len(sk.edges) - len(sk.vertices) + 1)
+    assert loops and multi
+
+
+def test_orientation_sweep_k4(tmp_path, capsys):
+    sk = random_skeleton(random.Random(4), 8)
+    f = tmp_path / "k4.skel"
+    f.write_text(skelfile.format_skeleton(sk, default_orientation(sk)))
+    code, out, _ = run_cli(capsys, "analyze", str(f), "--json", "--orientation-sweep")
+    assert code == 0
+    sweep = json.loads(out)["orientation_sweep"]
+    assert len(sweep) == 32
+    for row in sweep:
+        assert (4 + row["t"]) % 2 == 0
+
+
+def test_enumerate_rejects_k_below_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_verify_series_rejects_s_max_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-series", "th1.1", "--s-max", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and captured.out == ""
 
 
 def test_analyze_labelled(tmp_path, capsys):

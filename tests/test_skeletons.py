@@ -252,3 +252,15 @@ def test_reorient_preserves_fiber_types():
         subset = [v for v in range(nv) if rng.random() < 0.5]
         o2 = reorient(sk, o, subset)
         assert sorted(ft.name for ft in fiber_types(sk, o2)[0].values()) == base
+
+
+def test_vertex_of_index():
+    sk = random_skeleton(random.Random(5), 4)
+    fresh = Skeleton(sk.n_ends, sk.op, sk.nx)
+    for i, v in enumerate(sk.vertices):
+        for end in v:
+            assert sk.vertex_of(end) == i
+    assert sk == fresh and hash(sk) == hash(fresh) and repr(sk) == repr(fresh)
+    for end in (-1, sk.n_ends):
+        with pytest.raises(ValueError):
+            sk.vertex_of(end)
