@@ -12,12 +12,20 @@ Conventions:
   ``{x : M x = 0}``.
 * ``cokernel_invariants(M)`` describes ``Z^cols / rowspan(M)``, i.e. the
   cokernel of the map sending a row vector ``x`` to ``x*M``.
+
+Both ``integer_kernel`` and ``cokernel_invariants`` first eliminate the ±1
+pivots sparsely (``_eliminate_units``) and run the dense HNF/SNF only on
+the residual; the kernel is lifted back through the pivot rows and then
+HNF-canonicalized, so its basis does not depend on the pivot order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -92,8 +100,8 @@ def mat_copy(M):
 
 
 def transpose(M):
-    m, n = shape(M)
-    return [[M[i][j] for i in range(m)] for j in range(n)]
+    shape(M)
+    return [list(col) for col in zip(*M)]
 
 
 def mat_mul(A, B):
@@ -103,7 +111,7 @@ def mat_mul(A, B):
     n2, p = shape(B)
     assert n == n2, "dimension mismatch"
     Bt = transpose(B)
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def mat_add(A, B):
@@ -165,7 +173,8 @@ def hermite_normal_form(M):
     U = identity(m)
     r = 0
     for j in range(n):
-        # clear column j below row r, keeping a minimal pivot at row r
+        # clear column j below row r, keeping a minimal pivot at row r; the
+        # pivot row is zero left of column j, so row operations start at j
         while True:
             piv = None
             for i in range(r, m):
@@ -180,7 +189,7 @@ def hermite_normal_form(M):
             for i in range(r + 1, m):
                 if H[i][j] != 0:
                     q = H[i][j] // H[r][j]
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+                    H[i][j:] = [a - q * b for a, b in zip(H[i][j:], H[r][j:])]
                     U[i] = [a - q * b for a, b in zip(U[i], U[r])]
                     if H[i][j] != 0:
                         done = False
@@ -194,7 +203,7 @@ def hermite_normal_form(M):
             for i in range(r):
                 q = H[i][j] // p
                 if q:
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+                    H[i][j:] = [a - q * b for a, b in zip(H[i][j:], H[r][j:])]
                     U[i] = [a - q * b for a, b in zip(U[i], U[r])]
             r += 1
             if r == m:
@@ -299,28 +308,106 @@ def snf_diagonal(M):
     return [S[i][i] for i in range(min(m, n))]
 
 
+def _eliminate_units(M):
+    """Sparse elimination of the ±1 pivots of M, one Schur complement each.
+
+    Works on a dict-of-rows copy with a column -> rows index.  The next
+    pivot is a unit in a column with the fewest entries, on the shortest
+    such row; columns wait in a heap keyed by their entry count and are
+    pushed again whenever a pivot row changes them, so no pivot rescans
+    the matrix.
+
+    Returns ``(pivots, rest, residual)``: the pivots in elimination order as
+    ``(column, sign, row)``, ``row`` being the pivot row as a column -> entry
+    dict when it was chosen; the surviving columns in increasing order; and
+    the dense residual on those columns, nonzero rows only.  Clearing a
+    unit's column by row operations and its row by column operations is
+    unimodular, so M is equivalent to ``diag(±1, ..., ±1) ⊕ residual``.
+    """
+    _, n = shape(M)
+    rows = {}
+    cols = {j: set() for j in range(n)}
+    for i, r in enumerate(M):
+        row = {j: r[j] for j in compress(range(n), r)}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols[j].add(i)
+    heap = [(len(rs), j) for j, rs in cols.items()]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        count, c = heapq.heappop(heap)
+        rs = cols.get(c)
+        if rs is None or len(rs) != count:
+            continue  # eliminated, or a stale count
+        units = [i for i in rs if rows[i][c] in (1, -1)]
+        if not units:
+            continue  # pushed again if one of its entries changes
+        p = min(units, key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(p)
+        s = prow[c]
+        for j in prow:
+            cols[j].discard(p)
+        for i in cols.pop(c):
+            row = rows[i]
+            f = row.pop(c) * s
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        pivots.append((c, s, prow))
+        for j in prow:
+            if j != c:
+                heapq.heappush(heap, (len(cols[j]), j))
+    rest = sorted(cols)
+    residual = [[row.get(j, 0) for j in rest] for _, row in sorted(rows.items()) if row]
+    return pivots, rest, residual
+
+
 def integer_kernel(M):
     """Columns form the canonical basis of the saturated kernel {x : Mx = 0}."""
     m, n = shape(M)
     if n == 0:
-        return [[] for _ in range(0)]
-    H, U = hermite_normal_form(transpose(M))
-    # zero rows of H correspond to rows of U spanning the kernel
-    kernel_rows = [U[i] for i in range(n) if not any(H[i])]
-    if not kernel_rows:
+        return []
+    pivots, rest, residual = _eliminate_units(M)
+    if residual:
+        # zero rows of H correspond to rows of U spanning the residual kernel
+        H, U = hermite_normal_form(transpose(residual))
+        free = [U[i] for i in range(len(rest)) if not any(H[i])]
+        if free:
+            # an echelon basis lifts to one that is nearly canonical already
+            free, _ = hermite_normal_form(free)
+    else:
+        free = identity(len(rest))
+    if not free:
         return [[] for _ in range(n)]
-    canon, _ = hermite_normal_form(kernel_rows)
+    # each pivot row solves for its column: s*x_c + sum_j row[j]*x_j = 0
+    X = dict(zip(rest, transpose(free)))  # coordinate j of every vector
+    for c, s, prow in reversed(pivots):
+        x = [0] * len(free)
+        for j, v in prow.items():
+            if j != c:
+                f = s * v
+                x = [a - f * b for a, b in zip(x, X[j])]
+        X[c] = x
+    canon, _ = hermite_normal_form(transpose([X[j] for j in range(n)]))
     canon = [row for row in canon if any(row)]
     return transpose(canon)
 
 
 def cokernel_invariants(M):
     """Invariants of Z^cols / rowspan(M)."""
-    m, n = shape(M)
-    diag = snf_diagonal(M)
-    nonzero = [d for d in diag if d != 0]
+    _, rest, residual = _eliminate_units(M)
+    nonzero = [d for d in snf_diagonal(residual) if d != 0]
     return AbelianInvariants(
-        free_rank=n - len(nonzero), torsion=tuple(d for d in nonzero if d > 1)
+        free_rank=len(rest) - len(nonzero), torsion=tuple(d for d in nonzero if d > 1)
     )
 
 
@@ -340,11 +427,13 @@ def det(M):
                 return 0
             A[k], A[piv] = A[piv], A[k]
             sign = -sign
+        p = A[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            a = A[i][k]
+            A[i][k + 1:] = [(x * p - a * y) // prev
+                            for x, y in zip(A[i][k + 1:], A[k][k + 1:])]
             A[i][k] = 0
-        prev = A[k][k]
+        prev = p
     return sign * A[n - 1][n - 1]
 
 
@@ -369,13 +458,17 @@ def mat_inverse(M):
 
 
 def unimodular_inverse(M):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = mat_inverse(M)
-    out = []
-    for row in inv:
-        assert all(x.denominator == 1 for x in row), "matrix is not unimodular"
-        out.append([int(x) for x in row])
-    return out
+    """Inverse of a unimodular integer matrix, as an integer matrix.
+
+    The Hermite form of a unimodular M is the identity, so its transform
+    is the inverse.
+    """
+    m, n = shape(M)
+    assert m == n
+    H, U = hermite_normal_form(M)
+    if H != identity(n):
+        raise AssertionError("matrix is not unimodular")
+    return U
 
 
 def solve_columns(A, B):

@@ -25,7 +25,7 @@ from .exact import (
     transpose,
     zeros,
 )
-from .homology import _add_block, saturate_columns
+from .homology import _add_block, _restrict_scaled_form, saturate_columns
 from .lattices import IntLattice, radical_and_quotient
 from .skeletons import (
     NX_INV,
@@ -282,20 +282,7 @@ def generalized_h_gamma(lsk):
     """Kernel basis of the relation matrix with its integral Gram."""
     D = relation_matrix(lsk)
     K = integer_kernel(D)
-    scale = form_scale(lsk)
-    G = mat_mul(transpose(K), mat_mul(scaled_form(lsk), K))
-    out = []
-    for row in G:
-        r = []
-        for x in row:
-            if x % scale != 0:
-                raise AssertionError("restricted form is not integral")
-            r.append(x // scale)
-        out.append(r)
-    assert all(
-        out[i][j] == out[j][i] for i in range(len(out)) for j in range(len(out))
-    )
-    return K, out
+    return K, _restrict_scaled_form(K, scaled_form(lsk), form_scale(lsk))
 
 
 def generalized_invariants(lsk):
@@ -344,7 +331,10 @@ def region_monodromy(lsk, cycle):
 
 
 def classify_monodromy(m):
-    """('unipotent', sign, j) for +-[[1,j],[0,1]], else ('torsion', order)."""
+    """('unipotent', sign, j) for +-[[1,j],[0,1]], else ('torsion', order).
+
+    Any other monodromy (a hyperbolic one, say) raises SkeletonError.
+    """
     for sign in (1, -1):
         if m[0][0] == sign and m[1] == (0, sign):
             return ("unipotent", sign, sign * m[0][1])
@@ -354,7 +344,7 @@ def classify_monodromy(m):
         if acc == identity(2):
             return ("torsion", order)
         acc = mat_mul(acc, p)
-    raise ValueError(f"monodromy {m} is neither unipotent nor small torsion")
+    raise SkeletonError(f"monodromy {m} is neither unipotent nor small torsion")
 
 
 def invariant_vector(m):

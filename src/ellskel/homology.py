@@ -13,15 +13,15 @@ Forms are kept as integer matrices scaled by 6 (ambient form) or 2
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 
 from . import skeletons
 from .exact import (
     AbelianInvariants,
     cokernel_invariants,
     integer_kernel,
-    mat_eq,
-    mat_mul,
     rank,
     solve_columns,
     transpose,
@@ -108,17 +108,32 @@ def marked_form2(sk, marking):
 
 
 def _restrict_scaled_form(K, F, scale):
-    G = mat_mul(transpose(K), mat_mul(F, K))
+    """K^t F K / scale for a basis K (columns), summed over the nonzeros."""
+    d = len(K[0]) if K else 0
+    Ks = [[(b, y) for b, y in enumerate(r) if y] for r in K]
+    G = [[0] * d for _ in range(d)]
+    for ki, row in zip(Ks, F):
+        if not ki:
+            continue
+        fk = defaultdict(int)  # row i of F*K
+        for j in compress(range(len(row)), row):
+            f = row[j]
+            for b, y in Ks[j]:
+                fk[b] += f * y
+        for a, x in ki:
+            g = G[a]
+            for b, y in fk.items():
+                g[b] += x * y
     out = []
     for row in G:
         r = []
         for x in row:
-            assert x % scale == 0, "restricted form is not integral"
+            if x % scale != 0:
+                raise AssertionError("restricted form is not integral")
             r.append(x // scale)
         out.append(r)
-    assert all(
-        out[i][j] == out[j][i] for i in range(len(out)) for j in range(len(out))
-    )
+    if any(out[i][j] != out[j][i] for i in range(d) for j in range(i)):
+        raise AssertionError("restricted form is not symmetric")
     return out
 
 
@@ -288,6 +303,7 @@ def surface_invariants(sk, orientation):
     K, gram = h_gamma(sk, orientation)
     kdim = len(K[0]) if K and K[0] else 0
     assert kdim == 2 * k
-    assert kdim - rank(gram) == inv.rank_ker
-    assert rank(gram) == inv.rank_T
+    rank_gram = rank(gram)
+    assert kdim - rank_gram == inv.rank_ker
+    assert rank_gram == inv.rank_T
     return inv

@@ -56,10 +56,23 @@ class IntLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def is_positive_definite(self):
-        G = self.gram_rows()
-        for k in range(1, self.rank + 1):
-            if det([row[:k] for row in G[:k]]) <= 0:
+        """Sylvester's criterion in one Bareiss pass without row swaps.
+
+        After step k the pivot A[k][k] is the leading principal minor of
+        order k + 1, so the first pivot <= 0 decides.
+        """
+        A = self.gram_rows()
+        n = self.rank
+        prev = 1
+        for k in range(n):
+            p = A[k][k]
+            if p <= 0:
                 return False
+            for i in range(k + 1, n):
+                a = A[i][k]
+                A[i][k + 1:] = [(x * p - a * y) // prev
+                                for x, y in zip(A[i][k + 1:], A[k][k + 1:])]
+            prev = p
         return True
 
     def direct_sum(self, other):

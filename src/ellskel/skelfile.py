@@ -13,9 +13,9 @@ appear exactly once (write fixed points as singleton cycles, although
 neither permutation may actually have any).  `heads:` lists one end per
 edge, in the order of edges sorted by their smaller end.  Each optional
 `label:` line attaches a 2x2 integer matrix (row-major) to one edge by
-index; any `label:` line turns the document into a labelled skeleton,
-with unlabelled edges defaulting to Y.  Lines starting with `#` and
-blank lines are ignored.
+index, and an edge takes at most one; any `label:` line turns the
+document into a labelled skeleton, with unlabelled edges defaulting to
+Y.  Lines starting with `#` and blank lines are ignored.
 
 If `heads:` is absent, the loop-decorated-tree convention (every loop
 head placed so the loop region is stable) is applied when the skeleton
@@ -116,6 +116,8 @@ def parse_document(text):
                 vals = [int(t) for t in toks]
             except ValueError:
                 raise ParseError(f"bad label line {rest!r}", line_no)
+            if any(idx == vals[0] for idx, _ in labels):
+                raise ParseError(f"second label for edge {vals[0]}", line_no)
             labels.append((vals[0], ((vals[1], vals[2]), (vals[3], vals[4]))))
         else:
             raise ParseError(f"unknown key {key!r}", line_no)

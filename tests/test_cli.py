@@ -161,6 +161,61 @@ def test_analyze_invalid_skeleton_exit_3(tmp_path, capsys):
     assert "connected" in err
 
 
+def test_analyze_hyperbolic_label_exit_3(tmp_path, capsys):
+    f = tmp_path / "hyp.skel"
+    f.write_text(K1_TEXT + "heads: 0 2 5\nlabel: 1 2 1 1 1\n")
+    code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+    assert code == 3
+    assert out == ""
+    assert "invalid skeleton" in err and "unipotent" in err
+    assert "Traceback" not in err
+
+
+def test_duplicate_label_exit_2(tmp_path, capsys):
+    text = K1_TEXT + "heads: 0 2 5\nlabel: 1 1 1 0 1\n# again\nlabel: 1 1 0 0 1\n"
+    with pytest.raises(skelfile.ParseError, match="second label for edge 1") as exc:
+        skelfile.parse(text)
+    assert exc.value.line_no == 7
+    f = tmp_path / "dup.skel"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(f))
+    assert code == 2
+    assert out == "" and "line 7" in err and "Traceback" not in err
+    # distinct edges may each carry one label
+    lsk = skelfile.parse(K1_TEXT + "heads: 0 2 5\nlabel: 1 1 1 0 1\nlabel: 2 1 1 0 1\n")
+    assert lsk.labels[1] == lsk.labels[2] == ((1, 1), (0, 1))
+
+
+def test_analyze_chain_k64(tmp_path, capsys, monkeypatch):
+    """The k = 64 loop-decorated chain tree, th1.1 orientation, end to end."""
+    tree = None
+    for _ in range(63):
+        tree = (None, tree)
+    sk, leaves = tree_to_skeleton(tree)
+    o = orientation_for_series(sk, leaves, "th1.1")
+    f = tmp_path / "chain64.skel"
+    f.write_text(skelfile.format_skeleton(sk, o))
+    # the side route of each region's check is Coker(M^t - id) on a 2x2
+    side_checks = []
+    cokernel = homology.cokernel_invariants
+
+    def spy(M):
+        inv = cokernel(M)
+        if len(M) == 2 and len(M[0]) == 2:
+            side_checks.append(inv)
+        return inv
+
+    monkeypatch.setattr(homology, "cokernel_invariants", spy)
+    code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["invariants"]["k"] == 64
+    assert doc["invariants"]["rank_T"] == doc["transcendental"]["rank"]
+    n_regions = doc["invariants"]["r"]
+    assert len(doc["regions"]) == len(doc["region_cohomology"]) == n_regions
+    assert len(side_checks) == n_regions
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/path.skel")
     assert code == 2

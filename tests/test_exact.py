@@ -238,3 +238,149 @@ def test_hnf_idempotent(m, n, seed):
     H, _ = hermite_normal_form(M)
     H2, _ = hermite_normal_form(H)
     assert H == H2
+
+
+# ---------------------------------------------------------------------------
+# the sparse unit-pivot front end against the dense normal forms
+
+
+def dense_integer_kernel(M):
+    """Oracle: kernel rows of the HNF transform of M^t, HNF-canonicalized."""
+    m, n = exact.shape(M)
+    if n == 0:
+        return []
+    H, U = hermite_normal_form(transpose(M))
+    kernel_rows = [U[i] for i in range(n) if not any(H[i])]
+    if not kernel_rows:
+        return [[] for _ in range(n)]
+    canon, _ = hermite_normal_form(kernel_rows)
+    return transpose([row for row in canon if any(row)])
+
+
+def dense_cokernel_invariants(M):
+    """Oracle: the SNF of the whole of M."""
+    m, n = exact.shape(M)
+    nonzero = [d for d in snf_diagonal(M) if d != 0]
+    return AbelianInvariants(n - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
+def sparse_matrix(rng, m, n, density, values):
+    return [[rng.choice(values) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+
+
+_BLOCKS = (((1, 0), (0, 1)), ((-1, 1), (-1, 0)), ((0, -1), (1, -1)),
+           ((0, -1), (1, 0)), ((2, 1), (1, 1)), ((1, 3), (0, 1)))
+
+
+def block_relation_matrix(rng, rows, cols):
+    """Block rows touching at most three 2x2 blocks, like a relation matrix."""
+    M = zeros(2 * rows, 2 * cols)
+    for r in range(rows):
+        for c in rng.sample(range(cols), min(cols, rng.randint(1, 3))):
+            blk = rng.choice(_BLOCKS)
+            sign = rng.choice((1, -1))
+            for i in range(2):
+                for j in range(2):
+                    M[2 * r + i][2 * c + j] += sign * blk[i][j]
+    return M
+
+
+def zero_out(rng, M):
+    """Zero a few whole rows and columns."""
+    m, n = exact.shape(M)
+    M = [list(r) for r in M]
+    for i in rng.sample(range(m), rng.randint(0, m // 2)):
+        M[i] = [0] * n
+    for j in rng.sample(range(n), rng.randint(0, n // 2)):
+        for row in M:
+            row[j] = 0
+    return M
+
+
+def differential_cases():
+    rng = random.Random(4041)
+    cases = []
+    for _ in range(40):  # sparse, several units per row
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append(sparse_matrix(rng, m, n, 0.5, (1, -1, 1, -1, 2, -3)))
+    for _ in range(30):  # zero rows and zero columns
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(zero_out(rng, rand_matrix(rng, m, n, -2, 2)))
+    for _ in range(30):  # no unit entries at all
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append(sparse_matrix(rng, m, n, 0.6, (2, -2, 3, -4, 6, 9)))
+    for _ in range(30):  # dense Gram-like: A^t A and A^t S A
+        k, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = rand_matrix(rng, k, n, -3, 3)
+        S = [[rng.choice((-1, 1)) if i == j else 0 for j in range(k)] for i in range(k)]
+        cases.append(mat_mul(transpose(A), mat_mul(S, A)))
+    for _ in range(30):  # block rows as in the relation matrices
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(block_relation_matrix(rng, rows, cols))
+    return cases
+
+
+def test_sparse_kernel_matches_dense_oracle():
+    for M in differential_cases():
+        K = integer_kernel(M)
+        assert K == dense_integer_kernel(M), M
+        if K and K[0]:
+            assert all(x == 0 for row in mat_mul(M, K) for x in row)
+
+
+def test_sparse_cokernel_matches_dense_snf():
+    for M in differential_cases():
+        assert cokernel_invariants(M) == dense_cokernel_invariants(M), M
+        assert cokernel_invariants(transpose(M)) == dense_cokernel_invariants(
+            transpose(M)), M
+
+
+def test_sparse_cokernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    for M in differential_cases():
+        m, n = exact.shape(M)
+        S = sympy_snf(sympy.Matrix(m, n, [x for row in M for x in row]),
+                      domain=sympy.ZZ)
+        diag = sorted(abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i] != 0)
+        expected = AbelianInvariants(n - len(diag), tuple(d for d in diag if d > 1))
+        assert cokernel_invariants(M) == expected, M
+
+
+def test_sparse_front_end_empty_shapes():
+    # 0 x n: a list of no rows carries no column count
+    assert integer_kernel([]) == dense_integer_kernel([]) == []
+    assert cokernel_invariants([]) == AbelianInvariants(0)
+    # m x 0
+    M = [[], [], []]
+    assert integer_kernel(M) == dense_integer_kernel(M) == []
+    assert cokernel_invariants(M) == dense_cokernel_invariants(M)
+    assert cokernel_invariants(M) == AbelianInvariants(0)
+    # all-zero matrices: everything is free, the kernel is the identity
+    assert cokernel_invariants(zeros(3, 4)) == AbelianInvariants(4)
+    assert transpose(integer_kernel(zeros(3, 4))) == identity(4)
+
+
+def test_eliminate_units_residual():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        # unimodular with a ±1 pivot in every column after reordering
+        U = [[rng.choice((1, -1)) if i == j else 0 for j in range(n)]
+             for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                U[i][j] = rng.randint(-4, 4)
+        rng.shuffle(U)
+        pivots, rest, residual = exact._eliminate_units(U)
+        assert len(pivots) == n and rest == [] and residual == []
+    # no unit anywhere: nothing is eliminated
+    M = [[2, 4], [6, 3]]
+    pivots, rest, residual = exact._eliminate_units(M)
+    assert pivots == [] and rest == [0, 1] and residual == M
+    # the residual keeps only the surviving columns, in order
+    pivots, rest, residual = exact._eliminate_units([[1, 2, 4], [3, 6, 10]])
+    assert [c for c, _, _ in pivots] == [0] and rest == [1, 2]
+    assert residual == [[0, -2]]

@@ -231,3 +231,39 @@ def test_is_isometric_distinguishes_root_lattices():
     # det 4 pair with different root systems: D4 vs diag(2,2) + A1 + A1
     L = standard_lattice("D", 2).direct_sum(standard_lattice("D", 2))
     assert not is_isometric(D4, L)
+
+
+def test_positive_definite_matches_leading_minors():
+    """One Bareiss pass against Sylvester's criterion minor by minor."""
+
+    def by_minors(L):
+        G = L.gram_rows()
+        return all(exact.det([row[:k] for row in G[:k]]) > 0
+                   for k in range(1, L.rank + 1))
+
+    rng = random.Random(58)
+    kinds = {"definite": 0, "semidefinite": 0, "indefinite": 0}
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-3, 3) for _ in range(n)]
+             for _ in range(rng.randint(1, n + 2))]
+        kind = rng.choice(sorted(kinds))
+        if kind == "definite":
+            A += identity(n)  # full column rank, so A^t A is definite
+            G = mat_mul(transpose(A), A)
+        elif kind == "semidefinite":
+            A = A[: n - 1] or [[0]]  # rank below n
+            G = mat_mul(transpose(A), A)
+        else:
+            S = [[rng.choice((1, -1)) if i == j else 0 for j in range(len(A))]
+                 for i in range(len(A))]
+            G = mat_mul(transpose(A), mat_mul(S, A))
+        L = IntLattice(G)
+        expected = by_minors(L)
+        assert L.is_positive_definite() == expected, G
+        kinds[kind] += expected
+    assert kinds["definite"] > 0 and kinds["semidefinite"] == 0
+    assert IntLattice(()).is_positive_definite()
+    # a zero leading entry with a definite-looking rest is still rejected
+    assert not IntLattice([[0, 1], [1, 2]]).is_positive_definite()
+    assert not IntLattice([[2, 0], [0, 0]]).is_positive_definite()
