@@ -45,13 +45,9 @@ def _mw_dict(mw):
 
 def analyze_skeleton(sk, orientation):
     types, k, t = fiber_types(sk, orientation)
-    rs = regions(sk)
-    inv = homology.surface_invariants(sk, orientation)
-    T = homology.transcendental_lattice(sk, orientation)
-    mw = homology.mordell_weil(sk, orientation)
     cohom = []
     region_rows = []
-    for r in rs:
+    for r in regions(sk):
         ft = types[r]
         region_rows.append(
             {
@@ -63,6 +59,10 @@ def analyze_skeleton(sk, orientation):
         )
         group, _ = homology.region_cohomology(sk, orientation, r)
         cohom.append(list(group.torsion))
+    # after the region loop, so that its matrices and the relation matrix
+    # are never alive together
+    hg, T, mw = homology.trivalent_invariants(sk, orientation)
+    inv = homology.surface_invariants(sk, orientation, hg)
     return {
         "counts": sk.counts(),
         "genus": genus(sk),
@@ -91,23 +91,21 @@ def analyze_skeleton(sk, orientation):
 
 
 def analyze_labelled(lsk):
-    T, mw = generalized.generalized_invariants(lsk)
+    hg = homology.h_gamma(lsk)
+    T = homology.transcendental_lattice(hg)
+    mw = homology.mordell_weil(hg)
     rows = []
-    for cycle in generalized.regions(lsk):
-        m = generalized.region_monodromy(lsk, cycle)
+    for r in regions(lsk):
+        m = generalized.region_monodromy(lsk, r.cycle)
         rows.append(
             {
-                "cycle": list(cycle),
-                "size": len(cycle),
+                "cycle": list(r.cycle),
+                "size": r.size,
                 "monodromy": list(generalized.classify_monodromy(m)),
             }
         )
     return {
-        "counts": {
-            "ends": lsk.n_ends,
-            "vertices": len(lsk.vertices),
-            "edges": len(lsk.edges),
-        },
+        "counts": lsk.counts(),
         "labelled": True,
         "regions": rows,
         "transcendental": {
@@ -117,7 +115,7 @@ def analyze_labelled(lsk):
             "positive_definite": bool(T.rank and T.is_positive_definite()),
         },
         "mordell_weil": _mw_dict(mw),
-        "kernel_cycles_span_radical": generalized.kernel_cycles_span_radical(lsk),
+        "kernel_cycles_span_radical": homology.kernel_cycles_span_radical(lsk, hg),
     }
 
 
@@ -131,8 +129,7 @@ def orientation_sweep(sk):
     rows = []
     for o in orientation_classes(sk):
         types, k, t = fiber_types(sk, o)
-        T = homology.transcendental_lattice(sk, o)
-        mw = homology.mordell_weil(sk, o)
+        _, T, mw = homology.trivalent_invariants(sk, o)
         rows.append(
             {
                 "heads": list(o.heads),
@@ -251,8 +248,7 @@ def cmd_enumerate(args, out):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, series)
         m, _ = leaf_distances(tree)
-        T = homology.transcendental_lattice(sk, o)
-        mw = homology.mordell_weil(sk, o)
+        _, T, mw = homology.trivalent_invariants(sk, o)
         records.append(
             {
                 "tree": idx,

@@ -1,61 +1,43 @@
 """Labelled skeletons: extra fiber types and non-trivalent vertices.
 
-Two extensions of the homology engine live here.  First, skeletons whose
-edges carry arbitrary SL(2,Z) labels L, with edge relations
-h_head + L h_tail = 0; loops and bigons labelled by powers of X encode
-the additive/exceptional fiber types that a plain oriented skeleton
-cannot express.  Second, vertices of any valency divisible by 3, with
-vertex relations sum_i X^i h_i = 0 and the weighted intersection form
-whose coefficient at depth d from an n-valent vertex is (n-d-1)/n; at
-n = 3 this is the ordinary form.
+A labelled skeleton is a `Skeleton` whose vertices may have any valency
+divisible by 3 and whose edges carry SL(2,Z) labels L, with the edge
+relation h_head + L h_tail = 0.  Loops and bigons labelled by powers of X
+encode the additive/exceptional fiber types that a plain oriented
+skeleton cannot express; `insert_E_fiber` splices them into an edge.  A
+plain oriented trivalent skeleton is the all-Y labelled skeleton
+`from_skeleton(sk, o)`, which is how it enters the homology engine in
+`ellskel.homology`.  This module also holds the labelled monodromy: the
+region monodromies, their classification, and the fundamental cycles of
+the regions whose monodromy fixes a vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from functools import cached_property
+from math import gcd
 
-from .exact import (
-    AbelianInvariants,
-    cokernel_invariants,
-    identity,
-    integer_kernel,
-    mat_mul,
-    solve_columns,
-    transpose,
-    zeros,
-)
-from .homology import _add_block, _restrict_scaled_form, saturate_columns
-from .lattices import IntLattice, radical_and_quotient
+from .exact import identity, integer_kernel, mat_mul
 from .skeletons import (
     NX_INV,
     OP,
+    Skeleton,
     SkeletonError,
     X,
     Y,
-    _connected_component,
-    _orbits,
     gl2_apply,
     gl2_mul,
+    regions,
 )
-
-# -S * X^d blocks of the polarized form (S is the symplectic Gram)
-_S = ((0, 1), (-1, 0))
-
-
-def _neg_sxd(d):
-    m = identity(2)
-    for _ in range(d % 3):
-        m = mat_mul(m, [list(r) for r in X])
-    sm = mat_mul([list(r) for r in _S], m)
-    return tuple(tuple(-x for x in r) for r in sm)
 
 
 def inv2(m):
     """Inverse of a determinant-1 integer 2x2 matrix."""
     a, b = m[0]
     c, d = m[1]
-    assert a * d - b * c == 1
+    if a * d - b * c != 1:
+        raise AssertionError(f"{m} does not have determinant 1")
     return ((d, -b), (-c, a))
 
 
@@ -89,51 +71,27 @@ def _e_labels(kind, variant):
 
 
 @dataclass(frozen=True)
-class LabelledSkeleton:
-    n_ends: int
-    op: tuple
-    nx: tuple
+class LabelledSkeleton(Skeleton):
+    """A skeleton with vertex valencies divisible by 3 and labelled edges."""
+
     heads: tuple  # one end per edge, aligned with `edges`
     labels: tuple  # one 2x2 tuple per edge; the relation is h_head + L h_tail
 
     def __post_init__(self):
-        object.__setattr__(self, "op", tuple(self.op))
-        object.__setattr__(self, "nx", tuple(self.nx))
+        super().__post_init__()
         object.__setattr__(self, "heads", tuple(self.heads))
         object.__setattr__(
             self, "labels", tuple(tuple(tuple(r) for r in L) for L in self.labels)
         )
 
-    @property
-    def edges(self):
-        return [(i, self.op[i]) for i in range(self.n_ends) if i < self.op[i]]
-
-    @property
-    def vertices(self):
-        return _orbits(self.nx, self.n_ends)
-
-    @property
-    def nx_inv(self):
-        inv = [0] * self.n_ends
-        for i, j in enumerate(self.nx):
-            inv[j] = i
-        return tuple(inv)
+    def _check_valency(self, c):
+        if len(c) % 3 != 0:
+            raise SkeletonError(
+                f"vertex {c} has valency {len(c)}, not a multiple of 3"
+            )
 
     def validate(self):
-        n = self.n_ends
-        for name, p in (("op", self.op), ("nx", self.nx)):
-            if sorted(p) != list(range(n)):
-                raise SkeletonError(f"{name} is not a permutation of 0..{n - 1}")
-        for i in range(n):
-            if self.op[i] == i:
-                raise SkeletonError(f"op has a fixed point at {i}")
-            if self.op[self.op[i]] != i:
-                raise SkeletonError("op is not an involution")
-        for c in self.vertices:
-            if len(c) % 3 != 0 or len(c) == 0:
-                raise SkeletonError(
-                    f"vertex {c} has valency {len(c)}, not a multiple of 3"
-                )
+        super().validate()
         edges = self.edges
         if len(self.heads) != len(edges) or len(self.labels) != len(edges):
             raise SkeletonError("heads/labels not aligned with edges")
@@ -144,16 +102,18 @@ class LabelledSkeleton:
             lc, ld = L[1]
             if la * ld - lb * lc != 1:
                 raise SkeletonError(f"label {L} has determinant != 1")
-        if n and len(_connected_component(self, 0)) != n:
-            raise SkeletonError("skeleton is not connected")
 
-    def edge_index(self):
-        return {e: i for i, e in enumerate(self.edges)}
+    @cached_property
+    def _edge_index(self):
+        index = [0] * self.n_ends
+        for i, (a, b) in enumerate(self.edges):
+            index[a] = index[b] = i
+        return index
 
     def label_at(self, end):
-        """(L or L^-1, head?) for the edge containing `end`."""
-        idx = self.edge_index()[tuple(sorted((end, self.op[end])))]
-        return self.labels[idx], self.heads[idx]
+        """(L, head) for the edge containing `end`."""
+        i = self._edge_index[end]
+        return self.labels[i], self.heads[i]
 
 
 def from_skeleton(sk, orientation):
@@ -224,80 +184,6 @@ def insert_E_fiber(lsk, edge_idx, kind, variant=None):
 
 
 # ---------------------------------------------------------------------------
-# relations, form, invariants
-
-
-def relation_matrix(lsk):
-    """Vertex relations sum X^i h_i and edge relations h_head + L h_tail."""
-    n = lsk.n_ends
-    verts = lsk.vertices
-    edges = lsk.edges
-    nrows = 2 * len(verts) + 2 * len(edges)
-    D = zeros(nrows, 2 * n)
-    xpow = [identity(2), [list(r) for r in X], mat_mul([list(r) for r in X],
-                                                       [list(r) for r in X])]
-    for vi, v in enumerate(verts):
-        for i, alpha in enumerate(v):
-            _add_block(D, 2 * vi, 2 * alpha, xpow[i % 3])
-    for ei, ((a, b), h, L) in enumerate(zip(edges, lsk.heads, lsk.labels)):
-        t = a + b - h
-        r = 2 * (len(verts) + ei)
-        _add_block(D, r, 2 * h, identity(2))
-        _add_block(D, r, 2 * t, L)
-    return D
-
-
-def form_scale(lsk):
-    return 2 * lcm(*(len(v) for v in lsk.vertices))
-
-
-def scaled_form(lsk):
-    """scale * the weighted intersection form on the chain group."""
-    n = lsk.n_ends
-    scale = form_scale(lsk)
-    F = zeros(2 * n, 2 * n)
-    valency = {}
-    for v in lsk.vertices:
-        for alpha in v:
-            valency[alpha] = len(v)
-    for alpha in range(n):
-        nv = valency[alpha]
-        beta = alpha
-        for d in range(1, nv - 1):
-            beta = lsk.nx[beta]
-            w = (scale // 2) * (nv - d - 1) // nv
-            assert (scale // 2) * (nv - d - 1) % nv == 0
-            if w == 0:
-                continue
-            blk = _neg_sxd(d)
-            _add_block(F, 2 * alpha, 2 * beta, [[w * x for x in r] for r in blk])
-            _add_block(
-                F, 2 * beta, 2 * alpha,
-                [[w * blk[j][i] for j in range(2)] for i in range(2)],
-            )
-    return F
-
-
-def generalized_h_gamma(lsk):
-    """Kernel basis of the relation matrix with its integral Gram."""
-    D = relation_matrix(lsk)
-    K = integer_kernel(D)
-    return K, _restrict_scaled_form(K, scaled_form(lsk), form_scale(lsk))
-
-
-def generalized_invariants(lsk):
-    """(T, MW): definite quotient lattice and section-group torsion."""
-    _, gram = generalized_h_gamma(lsk)
-    _, T = radical_and_quotient(IntLattice(gram))
-    D = relation_matrix(lsk)
-    t1 = cokernel_invariants(D).torsion
-    t2 = cokernel_invariants(transpose(D)).torsion
-    if t1 != t2:
-        raise AssertionError(f"cokernel routes disagree: {t1} vs {t2}")
-    return T, AbelianInvariants(0, t1)
-
-
-# ---------------------------------------------------------------------------
 # monodromy on labelled skeletons
 
 
@@ -313,12 +199,6 @@ def step_matrix(lsk, step, end_from):
     return neg(L) if arrive == head else neg(inv2(L))
 
 
-def regions(lsk):
-    nxi = lsk.nx_inv
-    f = tuple(nxi[lsk.op[i]] for i in range(lsk.n_ends))
-    return _orbits(f, lsk.n_ends)
-
-
 def region_monodromy(lsk, cycle):
     out = identity(2)
     cur = cycle[0]
@@ -326,18 +206,53 @@ def region_monodromy(lsk, cycle):
         out = mat_mul([list(r) for r in step_matrix(lsk, OP, cur)], out)
         cur = lsk.nx_inv[lsk.op[cur]]
         out = mat_mul([list(r) for r in step_matrix(lsk, NX_INV, 0)], out)
-    assert cur == cycle[0]
+    if cur != cycle[0]:
+        raise AssertionError(f"region {cycle} is not closed")
     return [tuple(r) for r in out]
 
 
-def classify_monodromy(m):
-    """('unipotent', sign, j) for +-[[1,j],[0,1]], else ('torsion', order).
+def parabolic_conjugator(m, sign):
+    """(P, j) with P in SL(2,Z) and P^-1 m P = sign * [[1, j], [0, 1]].
 
-    Any other monodromy (a hyperbolic one, say) raises SkeletonError.
+    m has trace 2 * sign, so N = sign * m - id is nilpotent: N = j u w^t
+    with u = (a, c) primitive, w = (-c, a), and any P with first column u
+    conjugates m to the normal form.  Then |j| is the content of N and its
+    sign is that of N[0][1] - N[1][0] = j (a^2 + c^2).
     """
-    for sign in (1, -1):
-        if m[0][0] == sign and m[1] == (0, sign):
-            return ("unipotent", sign, sign * m[0][1])
+    N = [[sign * m[i][k] - (i == k) for k in range(2)] for i in range(2)]
+    content = gcd(*N[0], *N[1])
+    if content == 0:
+        return ((1, 0), (0, 1)), 0
+    j = content if N[0][1] > N[1][0] else -content
+    col = (N[0][1], N[1][1]) if N[0][1] or N[1][1] else (N[0][0], N[1][0])
+    g = gcd(*col)
+    a, c = col[0] // g, col[1] // g
+    # extended Euclid: x a + y c = 1, so P = [[a, -y], [c, x]] has det 1
+    x, y, r0, r1, x1, y1 = 1, 0, a, c, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, x, x1, y, y1 = r1, r0 - q * r1, x1, x - q * x1, y1, y - q * y1
+    if r0 < 0:
+        x, y = -x, -y
+    P = ((a, -y), (c, x))
+    if gl2_mul(inv2(P), m, P) != [(sign, sign * j), (0, sign)]:
+        raise AssertionError(f"{m} is not conjugate to {sign}*[[1, {j}], [0, 1]]")
+    return P, j
+
+
+def classify_monodromy(m):
+    """('unipotent', sign, j) for a conjugate of +-[[1,j],[0,1]], else
+    ('torsion', order).
+
+    A monodromy of trace 2 * sign is conjugate in SL(2,Z) to
+    sign * [[1, j], [0, 1]] for exactly one j (`parabolic_conjugator`).
+    Any other monodromy of infinite order (a hyperbolic one, say) raises
+    SkeletonError.
+    """
+    trace = m[0][0] + m[1][1]
+    if abs(trace) == 2:
+        sign = trace // 2
+        return ("unipotent", sign, parabolic_conjugator(m, sign)[1])
     p = [list(r) for r in m]
     acc = [list(r) for r in m]
     for order in range(1, 13):
@@ -354,16 +269,17 @@ def invariant_vector(m):
     if not (K and K[0]):
         return None
     v = (K[0][0], K[1][0])
-    assert gl2_apply(m, v) == v
+    if gl2_apply(m, v) != v:
+        raise AssertionError(f"{v} is not invariant under {m}")
     return v
 
 
 def kernel_cycles(lsk):
     """Fundamental cycles of regions whose monodromy fixes a vector."""
     out = []
-    for cycle in regions(lsk):
-        m = region_monodromy(lsk, cycle)
-        v = invariant_vector(m)
+    for region in regions(lsk):
+        cycle = region.cycle
+        v = invariant_vector(region_monodromy(lsk, cycle))
         if v is None or v == (0, 0):
             continue
         vec = [0] * (2 * lsk.n_ends)
@@ -378,28 +294,7 @@ def kernel_cycles(lsk):
             cur = lsk.nx_inv[cur]
             vec[2 * cur] += h[0]
             vec[2 * cur + 1] += h[1]
-        assert h == v and cur == cycle[0]
+        if h != v or cur != cycle[0]:
+            raise AssertionError(f"transport around region {cycle} does not close")
         out.append(vec)
     return out
-
-
-def kernel_cycles_span_radical(lsk):
-    """The invariant-vector region cycles saturate to the radical."""
-    from .exact import column_lattice_hnf
-
-    K, gram = generalized_h_gamma(lsk)
-    cycles = kernel_cycles(lsk)
-    R = integer_kernel(gram)
-    ncols = len(K[0]) if K and K[0] else 0
-    rad_rank = len(R[0]) if R and R[0] else 0
-    if not cycles:
-        return rad_rank == 0
-    D = relation_matrix(lsk)
-    for c in cycles:
-        assert all(
-            sum(x * y for x, y in zip(row, c)) == 0 for row in D
-        ), "cycle does not satisfy the relations"
-    coords = solve_columns(K, transpose(cycles))
-    S = saturate_columns(coords)
-    target = saturate_columns(R) if rad_rank else [[] for _ in range(ncols)]
-    return column_lattice_hnf(S) == column_lattice_hnf(target)

@@ -1,14 +1,24 @@
-"""Homology engine for oriented skeletons.
+"""The homology engine of labelled skeletons.
 
 The chain group is C = ⊕_α H, one rank-2 summand per edge-end (end α
-occupies coordinates 2α, 2α+1).  Relations: one marked vertex relation
-h_m1 + X h_m2 + X² h_m3 = 0 per vertex and one edge relation
-h_head + Y h_tail = 0 per edge.  The kernel of the relation matrix,
-equipped with the intersection form, yields the transcendental lattice
-(quotient by the radical) and the Mordell-Weil torsion (cokernel data).
+occupies coordinates 2α, 2α+1).  Relations: one vertex relation
+sum_i X^i h_i = 0 per vertex, its ends taken in nx order from the
+smallest, and one edge relation h_head + L h_tail = 0 per edge.  The
+kernel H_Gamma of the relation matrix carries the weighted intersection
+form, whose coefficient at depth d from an n-valent vertex is (n-d-1)/n;
+it yields the transcendental lattice (quotient by the radical), and the
+cokernel of the relation matrix yields the Mordell-Weil torsion.
 
-Forms are kept as integer matrices scaled by 6 (ambient form) or 2
-(marked form); restriction to the kernel is asserted to land in integers.
+A plain oriented trivalent skeleton enters as the all-Y labelled skeleton
+`generalized.from_skeleton(sk, o)`, where the vertex relation is the
+tripod relation h_m1 + X h_m2 + X² h_m3 = 0 and the form is the tripod
+form; `trivalent_invariants` is that path.  The marked form of a
+trivalent skeleton (`h_gamma_marked`) is the independent cross-check of
+the ambient one.
+
+Forms are kept as integer matrices scaled by 2 lcm(valencies) (ambient
+form, 6 on trivalent input) or 2 (marked form); restriction to the kernel
+must land in integers.
 """
 
 from __future__ import annotations
@@ -16,43 +26,31 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
+from math import lcm
+from typing import NamedTuple
 
 from . import skeletons
 from .exact import (
     AbelianInvariants,
     cokernel_invariants,
+    column_lattice_hnf,
+    identity,
     integer_kernel,
+    mat_vec,
     rank,
     solve_columns,
     transpose,
     zeros,
 )
+from .generalized import from_skeleton, kernel_cycles
 from .lattices import IntLattice, radical_and_quotient
 from .skeletons import X, fiber_types, genus, gl2_mul, monodromy, regions
 
-# S is the symplectic Gram (a.b = 1); the form blocks below are -S*X and
-# its transpose
-_NEG_SX = ((1, 0), (-1, 1))
-_NEG_SX_T = ((1, -1), (0, 1))
-
-XSQ = gl2_mul(X, X)
-
-
-def default_marking(sk):
-    return tuple(v[0] for v in sk.vertices)
-
-
-@dataclass(frozen=True)
-class TripodComplex:
-    boundary: tuple  # (10k x 12k) relation matrix rows
-    form6: tuple  # 6 * ambient symmetric form on C
-    marking: tuple
-
-    def boundary_rows(self):
-        return [list(r) for r in self.boundary]
-
-    def form6_rows(self):
-        return [list(r) for r in self.form6]
+# X^d and the polarized form's block -S X^d for d mod 3, where S is the
+# symplectic Gram (a.b = 1)
+_S = ((0, 1), (-1, 0))
+_XPOW = [gl2_mul(*[X] * d) for d in range(3)]
+_NEG_SXD = [[tuple(-x for x in r) for r in gl2_mul(_S, x)] for x in _XPOW]
 
 
 def _add_block(M, r, c, blk, sign=1):
@@ -61,50 +59,54 @@ def _add_block(M, r, c, blk, sign=1):
             M[r + i][c + j] += sign * blk[i][j]
 
 
-def boundary_matrix(sk, orientation, marking=None):
-    """Relation matrix and ambient form of an oriented skeleton."""
-    if marking is None:
-        marking = default_marking(sk)
-    n = sk.n_ends
-    verts = sk.vertices
-    assert len(marking) == len(verts)
-    edges = sk.edges
-    D = zeros(2 * len(verts) + 2 * len(edges), 2 * n)
-    for vi, (v, m1) in enumerate(zip(verts, marking)):
-        assert m1 in v, "marking must pick an end of its vertex"
-        m2 = sk.nx[m1]
-        m3 = sk.nx[m2]
-        r = 2 * vi
-        _add_block(D, r, 2 * m1, ((1, 0), (0, 1)))
-        _add_block(D, r, 2 * m2, X)
-        _add_block(D, r, 2 * m3, XSQ)
-    heads = orientation.heads
-    for ei, (a, b) in enumerate(edges):
-        h = heads[ei]
+def relation_matrix(lsk):
+    """Vertex relations sum X^i h_i and edge relations h_head + L h_tail."""
+    n = lsk.n_ends
+    verts = lsk.vertices
+    edges = lsk.edges
+    nrows = 2 * len(verts) + 2 * len(edges)
+    D = zeros(nrows, 2 * n)
+    for vi, v in enumerate(verts):
+        for i, alpha in enumerate(v):
+            _add_block(D, 2 * vi, 2 * alpha, _XPOW[i % 3])
+    for ei, ((a, b), h, L) in enumerate(zip(edges, lsk.heads, lsk.labels)):
         t = a + b - h
         r = 2 * (len(verts) + ei)
-        _add_block(D, r, 2 * h, ((1, 0), (0, 1)))
-        _add_block(D, r, 2 * t, skeletons.Y)
-    F6 = zeros(2 * n, 2 * n)
-    for a in range(n):
-        b = sk.nx[a]
-        _add_block(F6, 2 * a, 2 * b, _NEG_SX)
-        _add_block(F6, 2 * b, 2 * a, _NEG_SX_T)
-    return TripodComplex(
-        tuple(tuple(r) for r in D), tuple(tuple(r) for r in F6), tuple(marking)
-    )
+        _add_block(D, r, 2 * h, identity(2))
+        _add_block(D, r, 2 * t, L)
+    return D
 
 
-def marked_form2(sk, marking):
-    """2 * the marked form: -sum_v s(h_m1, X h_m2), polarized."""
-    n = sk.n_ends
-    F2 = zeros(2 * n, 2 * n)
-    for v, m1 in zip(sk.vertices, marking):
-        assert m1 in v
-        m2 = sk.nx[m1]
-        _add_block(F2, 2 * m1, 2 * m2, _NEG_SX)
-        _add_block(F2, 2 * m2, 2 * m1, _NEG_SX_T)
-    return F2
+def form_scale(lsk):
+    return 2 * lcm(*(len(v) for v in lsk.vertices))
+
+
+def scaled_form(lsk):
+    """scale * the weighted intersection form on the chain group."""
+    n = lsk.n_ends
+    scale = form_scale(lsk)
+    F = zeros(2 * n, 2 * n)
+    valency = {}
+    for v in lsk.vertices:
+        for alpha in v:
+            valency[alpha] = len(v)
+    for alpha in range(n):
+        nv = valency[alpha]
+        beta = alpha
+        for d in range(1, nv - 1):
+            beta = lsk.nx[beta]
+            w, rest = divmod((scale // 2) * (nv - d - 1), nv)
+            if rest:
+                raise AssertionError(f"form weight at depth {d} is not integral")
+            if w == 0:
+                continue
+            blk = _NEG_SXD[d % 3]
+            _add_block(F, 2 * alpha, 2 * beta, [[w * x for x in r] for r in blk])
+            _add_block(
+                F, 2 * beta, 2 * alpha,
+                [[w * blk[j][i] for j in range(2)] for i in range(2)],
+            )
+    return F
 
 
 def _restrict_scaled_form(K, F, scale):
@@ -137,35 +139,49 @@ def _restrict_scaled_form(K, F, scale):
     return out
 
 
-def h_gamma(sk, orientation, marking=None):
-    """Kernel basis (columns) of the relation matrix with its Gram matrix."""
-    tc = boundary_matrix(sk, orientation, marking)
-    K = integer_kernel(tc.boundary_rows())
-    gram = _restrict_scaled_form(K, tc.form6_rows(), 6)
-    return K, gram
+class HGamma(NamedTuple):
+    """What one analysis builds once and every invariant reads."""
+
+    relations: list  # rows of the relation matrix
+    kernel: list  # basis of its kernel H_Gamma, as columns
+    gram: list  # the intersection form on that basis
 
 
-def h_gamma_marked(sk, orientation, marking):
-    """Same Gram computed from the marked form (cross-check route)."""
-    tc = boundary_matrix(sk, orientation, marking)
-    K = integer_kernel(tc.boundary_rows())
-    gram = _restrict_scaled_form(K, marked_form2(sk, marking), 2)
-    return K, gram
+def h_gamma(lsk):
+    """The relation matrix, its kernel basis and the Gram matrix on it."""
+    D = relation_matrix(lsk)
+    K = integer_kernel(D)
+    return HGamma(D, K, _restrict_scaled_form(K, scaled_form(lsk), form_scale(lsk)))
 
 
-def transcendental_lattice(sk, orientation):
-    """Positive definite quotient of H_Gamma by its radical."""
-    _, gram = h_gamma(sk, orientation)
-    _, Q = radical_and_quotient(IntLattice(gram))
-    if Q.rank:
-        assert Q.is_positive_definite()
+def h_gamma_marked(sk, kernel, marking):
+    """Gram of the marked form -sum_v s(h_m1, X h_m2) on a kernel basis.
+
+    The cross-check route for a trivalent skeleton: the kernel is the same
+    for every marking (rotating a vertex relation multiplies it by the
+    unimodular X^2), so this must equal the ambient Gram for every one.
+    """
+    n = sk.n_ends
+    F2 = zeros(2 * n, 2 * n)
+    blk = _NEG_SXD[1]
+    for v, m1 in zip(sk.vertices, marking):
+        if m1 not in v:
+            raise AssertionError(f"marking {m1} is not an end of vertex {v}")
+        m2 = sk.nx[m1]
+        _add_block(F2, 2 * m1, 2 * m2, blk)
+        _add_block(F2, 2 * m2, 2 * m1, transpose(blk))
+    return _restrict_scaled_form(kernel, F2, 2)
+
+
+def transcendental_lattice(hg):
+    """Quotient of H_Gamma by its radical."""
+    _, Q = radical_and_quotient(IntLattice(hg.gram))
     return Q
 
 
-def mordell_weil(sk, orientation):
+def mordell_weil(hg):
     """Torsion of the cokernel of the relation matrix, by two routes."""
-    tc = boundary_matrix(sk, orientation)
-    D = tc.boundary_rows()
+    D = hg.relations
     t1 = cokernel_invariants(D).torsion
     t2 = cokernel_invariants(transpose(D)).torsion
     if t1 != t2:
@@ -173,18 +189,13 @@ def mordell_weil(sk, orientation):
     return AbelianInvariants(0, t1)
 
 
-def kernel_cycles(sk, orientation):
-    """Fundamental cycles of the stable regions, as Z^{2n} vectors."""
-    out = []
-    for reg in regions(sk):
-        if skeletons.region_sign(sk, orientation, reg) == 1:
-            # +(XY)^n fixes a = (1,0)
-            out.append(
-                skeletons.fundamental_cycle(
-                    sk, orientation, reg.boundary_path(), skeletons.A_VEC
-                )
-            )
-    return out
+def trivalent_invariants(sk, orientation):
+    """(H_Gamma, T, MW) of an oriented trivalent skeleton; T is definite."""
+    hg = h_gamma(from_skeleton(sk, orientation))
+    T = transcendental_lattice(hg)
+    if T.rank and not T.is_positive_definite():
+        raise AssertionError("transcendental lattice is not positive definite")
+    return hg, T, mordell_weil(hg)
 
 
 def saturate_columns(C):
@@ -196,38 +207,26 @@ def saturate_columns(C):
     N = integer_kernel(transpose(C))
     if not (N and N[0]):
         # full column span
-        from .exact import identity
-
         return identity(m)
     return integer_kernel(transpose(N))
 
 
-def _column_hnf_key(C):
-    from .exact import column_lattice_hnf
-
-    return column_lattice_hnf(C)
-
-
-def kernel_cycles_span_radical(sk, orientation):
-    """Check: the stable-region cycles saturate to the radical of H_Gamma."""
-    K, gram = h_gamma(sk, orientation)
-    cycles = kernel_cycles(sk, orientation)
-    R = integer_kernel(gram)  # radical, in kernel-basis coordinates
+def kernel_cycles_span_radical(lsk, hg):
+    """The invariant-vector region cycles saturate to the radical."""
+    K, gram = hg.kernel, hg.gram
+    cycles = kernel_cycles(lsk)
+    R = integer_kernel(gram)
     ncols = len(K[0]) if K and K[0] else 0
+    rad_rank = len(R[0]) if R and R[0] else 0
     if not cycles:
-        return (len(R[0]) if R and R[0] else 0) == 0
-    tc = boundary_matrix(sk, orientation)
+        return rad_rank == 0
     for c in cycles:
-        assert all(x == 0 for x in exact_mat_vec(tc.boundary_rows(), c))
+        if any(mat_vec(hg.relations, c)):
+            raise AssertionError("cycle does not satisfy the relations")
     coords = solve_columns(K, transpose(cycles))
     S = saturate_columns(coords)
-    return _column_hnf_key(S) == _column_hnf_key(
-        saturate_columns(R) if R and R[0] else [[] for _ in range(ncols)]
-    )
-
-
-def exact_mat_vec(M, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in M]
+    target = saturate_columns(R) if rad_rank else [[] for _ in range(ncols)]
+    return column_lattice_hnf(S) == column_lattice_hnf(target)
 
 
 def region_cohomology(sk, orientation, region):
@@ -260,7 +259,8 @@ def region_cohomology(sk, orientation, region):
         [M[j][i] - (1 if i == j else 0) for j in range(2)] for i in range(2)
     ]
     side = cokernel_invariants(Mt_minus_id)
-    assert inv.torsion == side.torsion, (inv, side)
+    if inv.torsion != side.torsion:
+        raise AssertionError(f"region cohomology {inv} differs from {side}")
     res = zeros(2 * N, 2 * sk.n_ends)
     for i in range(N):
         a = seq[i]
@@ -283,8 +283,8 @@ class SurfaceInvariants:
     rank_ker: int
 
 
-def surface_invariants(sk, orientation):
-    """Numeric invariants from (k, t, g), cross-checked against the kernel."""
+def surface_invariants(sk, orientation, hg):
+    """Numeric invariants from (k, t, g), cross-checked against H_Gamma."""
     _, k, t = fiber_types(sk, orientation)
     g = genus(sk)
     inv = SurfaceInvariants(
@@ -299,11 +299,16 @@ def surface_invariants(sk, orientation):
         rank_T=k + t + 2 * g - 2,
         rank_ker=k - t + 2 - 2 * g,
     )
-    assert inv.r == len(regions(sk))
-    K, gram = h_gamma(sk, orientation)
+    K = hg.kernel
     kdim = len(K[0]) if K and K[0] else 0
-    assert kdim == 2 * k
-    rank_gram = rank(gram)
-    assert kdim - rank_gram == inv.rank_ker
-    assert rank_gram == inv.rank_T
+    rank_gram = rank(hg.gram)
+    checks = (
+        (inv.r == len(regions(sk)), "region count"),
+        (kdim == 2 * k, "kernel rank"),
+        (kdim - rank_gram == inv.rank_ker, "radical rank"),
+        (rank_gram == inv.rank_T, "rank of T"),
+    )
+    for ok, what in checks:
+        if not ok:
+            raise AssertionError(f"{what} disagrees with (k, t, g) = {(k, t, g)}")
     return inv

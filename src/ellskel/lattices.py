@@ -8,23 +8,20 @@ to the nondegenerate quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from . import exact
 from .exact import (
     AbelianInvariants,
-    cokernel_invariants,
     det,
-    hermite_normal_form,
     identity,
     integer_kernel,
     mat_copy,
     mat_eq,
     mat_mul,
     mat_inverse,
-    shape,
     smith_normal_form,
     transpose,
     unimodular_inverse,

@@ -321,9 +321,8 @@ def verify_series(series, s):
         assert sorted(ft.name for ft in types.values()) == expected_fiber_names(
             series, s
         )
-        T = homology.transcendental_lattice(sk, o)
+        _, T, mw = homology.trivalent_invariants(sk, o)
         lattice_ok = is_isometric(T, expect)
-        mw = homology.mordell_weil(sk, o)
         det_T = T.det() if T.rank else 1
         det_S = fiber_lattice_det(sk, o)
         index_sq, order = det_S // det_T, 1

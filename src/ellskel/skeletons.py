@@ -84,11 +84,14 @@ class Skeleton:
                 raise SkeletonError(f"op has a fixed point at {i}")
             if self.op[self.op[i]] != i:
                 raise SkeletonError("op is not an involution")
-        for c in _orbits(self.nx, n):
-            if len(c) != 3:
-                raise SkeletonError(f"nx cycle {c} does not have length 3")
+        for c in self.vertices:
+            self._check_valency(c)
         if n and len(_connected_component(self, 0)) != n:
             raise SkeletonError("skeleton is not connected")
+
+    def _check_valency(self, c):
+        if len(c) != 3:
+            raise SkeletonError(f"nx cycle {c} does not have length 3")
 
     @property
     def vertices(self):
@@ -116,8 +119,8 @@ class Skeleton:
     def counts(self):
         return {
             "ends": self.n_ends,
-            "vertices": self.n_ends // 3,
-            "edges": self.n_ends // 2,
+            "vertices": len(self.vertices),
+            "edges": len(self.edges),
         }
 
 

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 
 from .generalized import LabelledSkeleton
-from .skeletons import Orientation, Skeleton, SkeletonError, Y, genus, regions
+from .skeletons import Orientation, Skeleton, SkeletonError, Y, _orbits, genus, regions
 
 _Y = tuple(tuple(r) for r in Y)
 
@@ -145,9 +145,9 @@ def _loop_tree_heads(sk):
 
 def resolve(doc):
     """(Skeleton, Orientation) or LabelledSkeleton from a parsed document."""
+    sk = Skeleton(doc.n_ends, doc.op, doc.nx)
     if doc.labels is not None:
-        sk_probe = Skeleton(doc.n_ends, doc.op, doc.nx)
-        edges = sk_probe.edges
+        edges = sk.edges
         if doc.heads is None:
             raise SkeletonError("labelled skeletons require an explicit heads line")
         labels = [_Y] * len(edges)
@@ -158,7 +158,6 @@ def resolve(doc):
         lsk = LabelledSkeleton(doc.n_ends, doc.op, doc.nx, doc.heads, tuple(labels))
         lsk.validate()
         return lsk
-    sk = Skeleton(doc.n_ends, doc.op, doc.nx)
     sk.validate()
     if doc.heads is not None:
         edges = sk.edges
@@ -183,43 +182,21 @@ def parse(text):
     return resolve(parse_document(text))
 
 
-def _cycles_of(perm):
-    n = len(perm)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if not seen[i]:
-            c = [i]
-            seen[i] = True
-            j = perm[i]
-            while j != i:
-                seen[j] = True
-                c.append(j)
-                j = perm[j]
-            out.append(c)
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in out)
-
-
 def format_skeleton(sk, orientation=None):
-    lines = [
-        f"ends: {sk.n_ends}",
-        f"nx: {_cycles_of(sk.nx)}",
-        f"op: {_cycles_of(sk.op)}",
-    ]
+    def cycles(perm):
+        orbits = _orbits(perm, sk.n_ends)
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in orbits)
+
+    lines = [f"ends: {sk.n_ends}", f"nx: {cycles(sk.nx)}", f"op: {cycles(sk.op)}"]
     if orientation is not None:
         lines.append("heads: " + " ".join(str(h) for h in orientation.heads))
     return "\n".join(lines) + "\n"
 
 
 def format_labelled(lsk):
-    lines = [
-        f"ends: {lsk.n_ends}",
-        f"nx: {_cycles_of(lsk.nx)}",
-        f"op: {_cycles_of(lsk.op)}",
-        "heads: " + " ".join(str(h) for h in lsk.heads),
-    ]
+    lines = [format_skeleton(lsk, Orientation(lsk.heads))]
     for i, L in enumerate(lsk.labels):
         if L != _Y:
             (a, b), (c, d) = L
-            lines.append(f"label: {i} {a} {b} {c} {d}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"label: {i} {a} {b} {c} {d}\n")
+    return "".join(lines)

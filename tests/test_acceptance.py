@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from ellskel import generalized, homology
-from ellskel.exact import cokernel_invariants, rank
+from ellskel.exact import cokernel_invariants, integer_kernel, rank
 from ellskel.lattices import discriminant, is_isometric, standard_lattice
 from ellskel.pseudotrees import (
     SERIES,
@@ -27,6 +27,7 @@ from ellskel.pseudotrees import (
 )
 from ellskel.skeletons import Orientation, fiber_types, genus, regions, reorient
 
+from test_homology import tripod_form6, tripod_relations
 from test_skeletons import random_skeleton
 
 POOL_SIZE = 1000
@@ -80,8 +81,9 @@ def pool_results(pool):
         g = genus(sk)
         types, k2, t = fiber_types(sk, o)
         assert k2 == k
-        tc = homology.boundary_matrix(sk, o)
-        K, gram = homology.h_gamma(sk, o)
+        lsk = generalized.from_skeleton(sk, o)
+        hg = homology.h_gamma(lsk)
+        K, gram = hg.kernel, hg.gram
         kdim = len(K[0]) if K and K[0] else 0
         rk = rank(gram)
         mu = sum(ft.milnor for ft in types.values())
@@ -92,8 +94,8 @@ def pool_results(pool):
             and len(regions(sk)) == k + 2 - 2 * g
             and mu == 2 * g + 5 * k + 5 * t - 2
         )
-        res["row_rank"] &= rank(tc.boundary_rows()) == 10 * k
-        res["radical"] &= homology.kernel_cycles_span_radical(sk, o)
+        res["row_rank"] &= rank(hg.relations) == 10 * k
+        res["radical"] &= homology.kernel_cycles_span_radical(lsk, hg)
         cohom_div, disc_div = [], []
         for reg, ft in types.items():
             group, _ = homology.region_cohomology(sk, o, reg)
@@ -141,7 +143,7 @@ def _det_law_holds(s):
     for tree in enumerate_marked_trees(k):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, "th1.1")
-        if homology.transcendental_lattice(sk, o).det() != 5 * k - 1:
+        if homology.trivalent_invariants(sk, o)[1].det() != 5 * k - 1:
             return False
     return True
 
@@ -163,13 +165,12 @@ def test_criterion_7_reorientation_invariance():
     ok = True
 
     def check(sk, o, subsets):
-        T0 = homology.transcendental_lattice(sk, o)
-        mw0 = homology.mordell_weil(sk, o)
+        _, T0, mw0 = homology.trivalent_invariants(sk, o)
         for sub in subsets:
-            o2 = reorient(sk, o, list(sub))
-            if homology.mordell_weil(sk, o2) != mw0:
+            _, T2, mw2 = homology.trivalent_invariants(sk, reorient(sk, o, list(sub)))
+            if mw2 != mw0:
                 return False
-            if not is_isometric(homology.transcendental_lattice(sk, o2), T0):
+            if not is_isometric(T2, T0):
                 return False
         return True
 
@@ -194,15 +195,17 @@ def test_criterion_8_form_consistency(pool):
     rng = random.Random(8)
     ok = True
     for sk, o in pool[:40]:
-        for _ in range(10):
-            marking = tuple(rng.choice(v) for v in sk.vertices)
-            _, g1 = homology.h_gamma(sk, o, marking)
-            _, g2 = homology.h_gamma_marked(sk, o, marking)
-            ok &= g1 == g2
         lsk = generalized.from_skeleton(sk, o)
-        tc = homology.boundary_matrix(sk, o)
-        ok &= generalized.scaled_form(lsk) == tc.form6_rows()
-        ok &= generalized.relation_matrix(lsk) == tc.boundary_rows()
+        hg = homology.h_gamma(lsk)
+        for _ in range(10):
+            # every marking: same kernel, and the marked form gives the
+            # ambient Gram on it
+            marking = tuple(rng.choice(v) for v in sk.vertices)
+            ok &= integer_kernel(tripod_relations(sk, o, marking)) == hg.kernel
+            ok &= homology.h_gamma_marked(sk, hg.kernel, marking) == hg.gram
+        # the engine's builders against the independent tripod oracle
+        ok &= homology.scaled_form(lsk) == tripod_form6(sk)
+        ok &= hg.relations == tripod_relations(sk, o)
     report(8, "ambient, marked and weighted forms agree", ok)
 
 

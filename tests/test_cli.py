@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -247,8 +248,7 @@ def brute_force_sweep(sk):
             continue
         oc = Orientation(key)
         types, k, t = fiber_types(sk, oc)
-        T = homology.transcendental_lattice(sk, oc)
-        mw = homology.mordell_weil(sk, oc)
+        _, T, mw = homology.trivalent_invariants(sk, oc)
         classes[key] = {
             "heads": list(key),
             "fibers": sorted(ft.name for ft in types.values()),
@@ -357,3 +357,74 @@ def test_enumerate_dedup(capsys):
         doc = json.loads(out)
         assert len(doc["classes"]) == n_classes
         assert sum(len(c["trees"]) for c in doc["classes"]) == doc["count"]
+
+
+def test_analyze_parabolic_label_exit_0(tmp_path, capsys):
+    # the region monodromy [[3, -2], [2, -1]] is conjugate to [[1, -2], [0, 1]]
+    f = tmp_path / "parabolic.skel"
+    f.write_text(
+        K1_TEXT + "heads: 0 1 4\nlabel: 0 -3 2 -2 1\n"
+    )
+    code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+    assert code == 0, err
+    shapes = [r["monodromy"] for r in json.loads(out)["regions"]]
+    assert ["unipotent", 1, -2] in shapes
+
+
+def count_calls(monkeypatch, module, name, keep=lambda *args: True):
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        if keep(*args):
+            calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_one_h_gamma_per_analysis(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, homology, "h_gamma")
+    rng = random.Random(12)
+    for n_vertices in (2, 4, 6):
+        sk = random_skeleton(rng, n_vertices)
+        f = tmp_path / "sk.skel"
+        f.write_text(skelfile.format_skeleton(sk, default_orientation(sk)))
+        calls.clear()
+        code, _, _ = run_cli(capsys, "analyze", str(f), "--json")
+        assert code == 0 and len(calls) == 1
+        calls.clear()
+        code, out, _ = run_cli(capsys, "analyze", str(f), "--json",
+                               "--orientation-sweep")
+        assert code == 0
+        assert len(calls) == 1 + len(json.loads(out)["orientation_sweep"])
+    calls.clear()
+    code, out, _ = run_cli(capsys, "verify-series", "all", "--s-max", "2", "--json")
+    assert code == 0 and len(calls) == len(json.loads(out)["results"]) == 18
+
+
+def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):
+    sk, leaves = tree_to_skeleton(enumerate_marked_trees(3)[0])
+    o = orientation_for_series(sk, leaves, "th1.2")
+    lsk = insert_E_fiber(from_skeleton(sk, o), 2, "E8", 0)
+    f = tmp_path / "e8.skel"
+    f.write_text(skelfile.format_labelled(lsk))
+    h_calls = count_calls(monkeypatch, homology, "h_gamma")
+    relation_calls = count_calls(monkeypatch, homology, "relation_matrix")
+    kernel_calls = count_calls(
+        monkeypatch, homology, "integer_kernel",
+        lambda M: M and len(M[0]) == 2 * lsk.n_ends,
+    )
+    code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+    assert code == 0, err
+    assert json.loads(out)["kernel_cycles_span_radical"] is True
+    assert (len(h_calls), len(relation_calls), len(kernel_calls)) == (1, 1, 1)
+
+
+def test_readme_library_example(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -2,28 +2,32 @@ import random
 
 import pytest
 
-from ellskel import generalized as G
-from ellskel import homology
 from ellskel.generalized import (
     LabelledSkeleton,
     classify_monodromy,
     from_skeleton,
-    generalized_h_gamma,
-    generalized_invariants,
     insert_E_fiber,
     invariant_vector,
-    kernel_cycles_span_radical,
+    parabolic_conjugator,
     region_monodromy,
+)
+from ellskel.homology import (
+    h_gamma,
+    kernel_cycles_span_radical,
+    mordell_weil,
     relation_matrix,
     scaled_form,
+    transcendental_lattice,
 )
 from ellskel.pseudotrees import (
     enumerate_marked_trees,
     orientation_for_series,
     tree_to_skeleton,
 )
-from ellskel.skeletons import SkeletonError, X, Y, default_orientation, gl2_mul
+from ellskel.skeletons import SkeletonError, X, Y, default_orientation, gl2_mul, regions
+from ellskel.skelfile import parse
 
+from test_homology import tripod_form6, tripod_relations
 from test_skeletons import perm_from_cycles, random_skeleton
 
 YT = tuple(tuple(r) for r in Y)
@@ -35,6 +39,13 @@ def all_A_base(k):
     return from_skeleton(sk, o)
 
 
+def invariants(lsk):
+    """(T, MW, region cycles saturate to the radical) from one h_gamma."""
+    hg = h_gamma(lsk)
+    T = transcendental_lattice(hg)
+    return T, mordell_weil(hg), kernel_cycles_span_radical(lsk, hg)
+
+
 def test_reduction_to_trivalent_engine():
     rng = random.Random(81)
     for _ in range(8):
@@ -42,14 +53,9 @@ def test_reduction_to_trivalent_engine():
         o = default_orientation(sk)
         lsk = from_skeleton(sk, o)
         lsk.validate()
-        tc = homology.boundary_matrix(sk, o)
-        assert scaled_form(lsk) == tc.form6_rows()
-        assert relation_matrix(lsk) == tc.boundary_rows()
-        assert generalized_h_gamma(lsk) == tuple(homology.h_gamma(sk, o))
-        T, mw = generalized_invariants(lsk)
-        assert T.gram == homology.transcendental_lattice(sk, o).gram
-        assert mw == homology.mordell_weil(sk, o)
-        assert kernel_cycles_span_radical(lsk)
+        assert scaled_form(lsk) == tripod_form6(sk)
+        assert relation_matrix(lsk) == tripod_relations(sk, o)
+        assert invariants(lsk)[2]
 
 
 def test_insert_labels():
@@ -102,8 +108,8 @@ def test_inserted_region_monodromies():
             for ei in (0, len(base.edges) - 1):
                 lsk = insert_E_fiber(base, ei, kind, var)
                 shapes = [
-                    classify_monodromy(region_monodromy(lsk, c))
-                    for c in G.regions(lsk)
+                    classify_monodromy(region_monodromy(lsk, r.cycle))
+                    for r in regions(lsk)
                 ]
                 torsion = [s for s in shapes if s[0] == "torsion"]
                 assert torsion == [("torsion", order)]
@@ -115,8 +121,8 @@ def test_invariant_vector_criterion():
     base = all_A_base(2)
     for (kind, var) in DISK_ORDERS:
         lsk = insert_E_fiber(base, 1, kind, var)
-        for c in G.regions(lsk):
-            m = region_monodromy(lsk, c)
+        for r in regions(lsk):
+            m = region_monodromy(lsk, r.cycle)
             shape = classify_monodromy(m)
             v = invariant_vector(m)
             if shape[0] == "unipotent" and shape[1] == 1:
@@ -142,11 +148,11 @@ POSDEF_CASES = {
 def test_augmented_pseudo_trees_positive_definite():
     for (k, kind, var), (rk, dt) in POSDEF_CASES.items():
         lsk = insert_E_fiber(all_A_base(k), 0, kind, var)
-        T, mw = generalized_invariants(lsk)
+        T, mw, radical_ok = invariants(lsk)
         assert (T.rank, T.det()) == (rk, dt)
         assert T.is_positive_definite()
         assert mw.is_trivial
-        assert kernel_cycles_span_radical(lsk)
+        assert radical_ok
 
 
 def test_augmented_indefinite_cases():
@@ -156,21 +162,21 @@ def test_augmented_indefinite_cases():
     expected = {("E6", None): -4, ("A1*", None): -8, ("A2*", 0): -12}
     for (kind, var), dt in expected.items():
         lsk = insert_E_fiber(all_A_base(2), 0, kind, var)
-        T, mw = generalized_invariants(lsk)
+        T, mw, radical_ok = invariants(lsk)
         assert (T.rank, T.det()) == (3, dt)
         assert not T.is_positive_definite()
         assert mw.is_trivial
-        assert kernel_cycles_span_radical(lsk)
+        assert radical_ok
 
 
 def test_double_insertion():
     lsk = insert_E_fiber(all_A_base(2), 0, "A0**")
     lsk2 = insert_E_fiber(lsk, 5, "E8", 0)
-    T, mw = generalized_invariants(lsk2)
+    T, mw, radical_ok = invariants(lsk2)
     assert (T.rank, T.det()) == (6, 48)
     assert T.is_positive_definite()
     assert mw.is_trivial
-    assert kernel_cycles_span_radical(lsk2)
+    assert radical_ok
 
 
 def one_vertex_six_valent(op_cycles):
@@ -184,7 +190,7 @@ def one_vertex_six_valent(op_cycles):
 def test_six_valent_vertex():
     lsk = one_vertex_six_valent([(0, 3), (1, 4), (2, 5)])
     lsk.validate()
-    K, gram = generalized_h_gamma(lsk)
+    _, K, gram = h_gamma(lsk)
     assert len(K[0]) == 4
     assert gram == [
         [-2, 1, 1, -2],
@@ -192,18 +198,18 @@ def test_six_valent_vertex():
         [1, 0, 2, 1],
         [-2, 1, 1, -2],
     ]
-    T, mw = generalized_invariants(lsk)
+    T, mw, radical_ok = invariants(lsk)
     assert T.gram == ((2, 0, 1), (0, 2, 1), (1, 1, -2))
     assert mw.is_trivial
-    assert kernel_cycles_span_radical(lsk)
+    assert radical_ok
 
 
 def test_six_valent_torsion_section_group():
     lsk = one_vertex_six_valent([(0, 2), (1, 4), (3, 5)])
     lsk.validate()
-    T, mw = generalized_invariants(lsk)
+    T, mw, radical_ok = invariants(lsk)
     assert mw.torsion == (2,)
-    assert kernel_cycles_span_radical(lsk)
+    assert radical_ok
 
 
 def test_validate_rejects_bad_valency():
@@ -229,3 +235,58 @@ def test_validate_rejects_bad_label_determinant():
     )
     with pytest.raises(SkeletonError, match="determinant"):
         bad.validate()
+
+
+PARABOLIC_TEXT = """\
+ends: 6
+nx: (0 1 2)(3 4 5)
+op: (0 3)(1 2)(4 5)
+heads: 0 1 4
+label: 0 -3 2 -2 1
+"""
+
+
+def test_parabolic_region_off_normal_form():
+    lsk = parse(PARABOLIC_TEXT)
+    shapes = {}
+    for r in regions(lsk):
+        m = region_monodromy(lsk, r.cycle)
+        shapes[tuple(map(tuple, m))] = classify_monodromy(m)
+    # [[3, -2], [2, -1]] = P [[1, -2], [0, 1]] P^-1 with P = [[-1, 0], [-1, -1]]
+    assert shapes[((3, -2), (2, -1))] == ("unipotent", 1, -2)
+
+
+def test_parabolic_conjugator_over_labels():
+    """Every trace +-2 region monodromy over all labels with entries in -3..3."""
+    base = parse(PARABOLIC_TEXT)
+    entries = range(-3, 4)
+    labels = [
+        ((a, b), (c, d))
+        for a in entries for b in entries for c in entries for d in entries
+        if a * d - b * c == 1
+    ]
+    literal = conjugate = 0
+    for edge in range(len(base.edges)):
+        for L in labels:
+            lsk = LabelledSkeleton(
+                base.n_ends, base.op, base.nx, base.heads,
+                tuple(L if i == edge else YT for i in range(len(base.edges))),
+            )
+            for r in regions(lsk):
+                m = region_monodromy(lsk, r.cycle)
+                trace = m[0][0] + m[1][1]
+                if abs(trace) != 2:
+                    continue
+                sign = trace // 2
+                P, j = parabolic_conjugator(m, sign)
+                (p, q), (s, t) = P
+                assert p * t - q * s == 1
+                # m P = P (sign * [[1, j], [0, 1]])
+                assert gl2_mul(m, P) == gl2_mul(P, ((sign, sign * j), (0, sign)))
+                assert classify_monodromy(m) == ("unipotent", sign, j)
+                if m[1][0] == 0 and m[0][0] == m[1][1]:
+                    literal += 1
+                    assert j == sign * m[0][1]  # the literal reading
+                else:
+                    conjugate += 1
+    assert literal and conjugate

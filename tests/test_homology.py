@@ -1,30 +1,81 @@
+import ast
 import random
+from pathlib import Path
 
-import pytest
-
-from ellskel import exact, homology
-from ellskel.exact import integer_kernel, mat_eq, rank, transpose
+from ellskel import generalized, homology
+from ellskel.exact import integer_kernel, rank, zeros
+from ellskel.generalized import from_skeleton, kernel_cycles
 from ellskel.homology import (
-    boundary_matrix,
     h_gamma,
     h_gamma_marked,
-    kernel_cycles,
     kernel_cycles_span_radical,
     mordell_weil,
     region_cohomology,
     surface_invariants,
     transcendental_lattice,
+    trivalent_invariants,
 )
-from ellskel.lattices import discriminant, standard_lattice
-from ellskel.skeletons import Orientation, default_orientation, fiber_types, genus, regions
+from ellskel.lattices import discriminant
+from ellskel.skeletons import (
+    X,
+    Y,
+    Orientation,
+    default_orientation,
+    fiber_types,
+    gl2_mul,
+    regions,
+)
 
 from test_skeletons import (
     PSEUDOTREE_K1,
     THETA_PLANAR,
     THETA_TORUS,
-    perm_from_cycles,
     random_skeleton,
 )
+
+
+def _add_block(M, r, c, blk):
+    for i in range(2):
+        for j in range(2):
+            M[r + i][c + j] += blk[i][j]
+
+
+def tripod_relations(sk, orientation, marking=None):
+    """Oracle: the tripod relation matrix, built independently of the engine.
+
+    One marked vertex relation h_m1 + X h_m2 + X^2 h_m3 = 0 per vertex
+    (m1 defaults to the smallest end) and h_head + Y h_tail = 0 per edge.
+    """
+    if marking is None:
+        marking = tuple(v[0] for v in sk.vertices)
+    n = sk.n_ends
+    D = zeros(2 * len(sk.vertices) + 2 * len(sk.edges), 2 * n)
+    for vi, m1 in enumerate(marking):
+        m2 = sk.nx[m1]
+        m3 = sk.nx[m2]
+        _add_block(D, 2 * vi, 2 * m1, ((1, 0), (0, 1)))
+        _add_block(D, 2 * vi, 2 * m2, X)
+        _add_block(D, 2 * vi, 2 * m3, gl2_mul(X, X))
+    for ei, ((a, b), h) in enumerate(zip(sk.edges, orientation.heads)):
+        r = 2 * (len(sk.vertices) + ei)
+        _add_block(D, r, 2 * h, ((1, 0), (0, 1)))
+        _add_block(D, r, 2 * (a + b - h), Y)
+    return D
+
+
+def tripod_form6(sk):
+    """Oracle: 6 * the tripod form, blocks -S X at (a, nx a) plus transpose."""
+    n = sk.n_ends
+    F6 = zeros(2 * n, 2 * n)
+    for a in range(n):
+        b = sk.nx[a]
+        _add_block(F6, 2 * a, 2 * b, ((1, 0), (-1, 1)))
+        _add_block(F6, 2 * b, 2 * a, ((1, -1), (0, 1)))
+    return F6
+
+
+def hg_of(sk, o):
+    return h_gamma(from_skeleton(sk, o))
 
 
 def k1_all_A_orientation():
@@ -37,18 +88,28 @@ def k1_all_A_orientation():
 
 def test_boundary_matrix_shape_and_rank():
     for sk in (PSEUDOTREE_K1, THETA_TORUS, THETA_PLANAR):
-        tc = boundary_matrix(sk, default_orientation(sk))
-        D = tc.boundary_rows()
+        D = homology.relation_matrix(from_skeleton(sk, default_orientation(sk)))
         assert len(D) == 10
         assert len(D[0]) == 12
         assert rank(D) == 10
+
+
+def test_engine_matches_tripod_oracle():
+    rng = random.Random(42)
+    for _ in range(15):
+        sk = random_skeleton(rng, rng.choice([2, 4]))
+        o = Orientation(tuple(rng.choice(e) for e in sk.edges))
+        lsk = from_skeleton(sk, o)
+        assert homology.relation_matrix(lsk) == tripod_relations(sk, o)
+        assert homology.scaled_form(lsk) == tripod_form6(sk)
+        assert homology.form_scale(lsk) == 6
 
 
 def test_h_gamma_rank_2k():
     rng = random.Random(41)
     for _ in range(15):
         sk = random_skeleton(rng, rng.choice([2, 4]))
-        K, gram = h_gamma(sk, default_orientation(sk))
+        K, gram = hg_of(sk, default_orientation(sk))[1:]
         k = sk.n_ends // 6
         assert len(K[0]) == 2 * k
         assert len(gram) == 2 * k
@@ -57,10 +118,10 @@ def test_h_gamma_rank_2k():
 def test_k1_h_gamma_zero_form():
     sk = PSEUDOTREE_K1
     o = k1_all_A_orientation()
-    K, gram = h_gamma(sk, o)
-    assert len(K[0]) == 2
-    assert all(x == 0 for row in gram for x in row)
-    T = transcendental_lattice(sk, o)
+    hg = hg_of(sk, o)
+    assert len(hg.kernel[0]) == 2
+    assert all(x == 0 for row in hg.gram for x in row)
+    T = transcendental_lattice(hg)
     assert T.rank == 0
 
 
@@ -69,21 +130,21 @@ def test_marked_vs_unmarked_form():
     for _ in range(10):
         sk = random_skeleton(rng, 2)
         o = default_orientation(sk)
+        hg = hg_of(sk, o)
         for _ in range(5):
             marking = tuple(rng.choice(v) for v in sk.vertices)
-            _, g1 = h_gamma(sk, o, marking)
-            _, g2 = h_gamma_marked(sk, o, marking)
-            assert g1 == g2
+            # the kernel does not depend on the marking of the relations
+            assert integer_kernel(tripod_relations(sk, o, marking)) == hg.kernel
+            assert h_gamma_marked(sk, hg.kernel, marking) == hg.gram
         # different markings agree too (form is marking-independent on H)
-        m0 = tuple(v[0] for v in sk.vertices)
         m1 = tuple(v[1] for v in sk.vertices)
-        assert h_gamma(sk, o, m0)[1] == h_gamma_marked(sk, o, m1)[1]
+        assert h_gamma_marked(sk, hg.kernel, m1) == hg.gram
 
 
 def test_mordell_weil_k1():
     # the k=1 all-stable-loop surface has fiber lattice U + D8 of det 4
     # inside unimodular H2, so the section group has order sqrt(4) = 2
-    mw = mordell_weil(PSEUDOTREE_K1, k1_all_A_orientation())
+    mw = mordell_weil(hg_of(PSEUDOTREE_K1, k1_all_A_orientation()))
     assert mw.torsion == (2,)
 
 
@@ -91,23 +152,24 @@ def test_mordell_weil_routes_agree_randomized():
     rng = random.Random(47)
     for _ in range(20):
         sk = random_skeleton(rng, rng.choice([2, 4]))
-        mordell_weil(sk, default_orientation(sk))  # raises on disagreement
+        mordell_weil(hg_of(sk, default_orientation(sk)))  # raises on disagreement
 
 
 def test_kernel_cycles_k1():
     sk = PSEUDOTREE_K1
     o = k1_all_A_orientation()
-    cycles = kernel_cycles(sk, o)
+    lsk = from_skeleton(sk, o)
+    cycles = kernel_cycles(lsk)
     assert len(cycles) == 2
-    assert kernel_cycles_span_radical(sk, o)
+    assert kernel_cycles_span_radical(lsk, h_gamma(lsk))
 
 
 def test_kernel_cycles_randomized():
     rng = random.Random(53)
     for _ in range(25):
         sk = random_skeleton(rng, rng.choice([2, 4]))
-        o = default_orientation(sk)
-        assert kernel_cycles_span_radical(sk, o)
+        lsk = from_skeleton(sk, default_orientation(sk))
+        assert kernel_cycles_span_radical(lsk, h_gamma(lsk))
 
 
 def test_region_cohomology_types():
@@ -133,7 +195,8 @@ def test_region_cohomology_types():
 
 
 def test_surface_invariants_k1():
-    inv = surface_invariants(PSEUDOTREE_K1, k1_all_A_orientation())
+    o = k1_all_A_orientation()
+    inv = surface_invariants(PSEUDOTREE_K1, o, hg_of(PSEUDOTREE_K1, o))
     assert (inv.k, inv.t, inv.g) == (1, 1, 0)
     assert inv.chi == 12
     assert inv.sigma_plus == 1
@@ -146,7 +209,8 @@ def test_surface_invariants_k1():
 def test_surface_invariants_torus_theta():
     sk = THETA_TORUS
     # find an orientation with k+t even (always true) and check r with g=1
-    inv = surface_invariants(sk, default_orientation(sk))
+    o = default_orientation(sk)
+    inv = surface_invariants(sk, o, hg_of(sk, o))
     assert inv.g == 1
     assert inv.r == 1
 
@@ -156,8 +220,8 @@ def test_transcendental_lattice_positive_definite():
     for _ in range(15):
         sk = random_skeleton(rng, rng.choice([2, 4]))
         o = default_orientation(sk)
-        T = transcendental_lattice(sk, o)
-        inv = surface_invariants(sk, o)
+        hg, T, _ = trivalent_invariants(sk, o)
+        inv = surface_invariants(sk, o, hg)
         assert T.rank == inv.rank_T
         if T.rank:
             assert T.is_positive_definite()
@@ -170,13 +234,22 @@ def test_reorient_invariance():
     for _ in range(8):
         sk = random_skeleton(rng, 2)
         o = default_orientation(sk)
-        T0 = transcendental_lattice(sk, o)
-        mw0 = mordell_weil(sk, o)
+        _, T0, mw0 = trivalent_invariants(sk, o)
         nv = sk.n_ends // 3
         for bits in range(2**nv):
             subset = [v for v in range(nv) if bits >> v & 1]
             o2 = reorient(sk, o, subset)
             from ellskel.lattices import is_isometric
 
-            assert is_isometric(T0, transcendental_lattice(sk, o2))
-            assert mordell_weil(sk, o2) == mw0
+            _, T2, mw2 = trivalent_invariants(sk, o2)
+            assert is_isometric(T0, T2)
+            assert mw2 == mw0
+
+
+def test_engine_has_no_assert_statements():
+    """The engine's checks raise AssertionError explicitly, so `python -O`
+    keeps them (and the CLI's exit code 4)."""
+    for module in (homology, generalized):
+        tree = ast.parse(Path(module.__file__).read_text())
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert lines == [], f"{module.__name__} asserts at lines {lines}"

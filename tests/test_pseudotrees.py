@@ -151,15 +151,15 @@ def test_tree_edge_orientation_is_irrelevant():
         loop_ends = {lf.loop_tail for lf in leaves} | {lf.loop_head for lf in leaves}
         for series in ("th1.2", "th1.4"):
             o = orientation_for_series(sk, leaves, series)
-            T0 = homology.transcendental_lattice(sk, o)
-            mw0 = homology.mordell_weil(sk, o)
+            _, T0, mw0 = homology.trivalent_invariants(sk, o)
             heads = list(o.heads)
             for i, (a, b) in enumerate(sk.edges):
                 if a not in loop_ends and rng.random() < 0.5:
                     heads[i] = a + b - heads[i]
             o2 = Orientation(tuple(heads))
-            assert is_isometric(T0, homology.transcendental_lattice(sk, o2))
-            assert homology.mordell_weil(sk, o2) == mw0
+            _, T2, mw2 = homology.trivalent_invariants(sk, o2)
+            assert is_isometric(T0, T2)
+            assert mw2 == mw0
 
 
 def test_braid_words_shape():
