@@ -44,7 +44,8 @@ def _mw_dict(mw):
 
 
 def analyze_skeleton(sk, orientation):
-    types, k, t = fiber_types(sk, orientation)
+    fibers = fiber_types(sk, orientation)
+    types = fibers[0]
     cohom = []
     region_rows = []
     for r in regions(sk):
@@ -62,7 +63,7 @@ def analyze_skeleton(sk, orientation):
     # after the region loop, so that its matrices and the relation matrix
     # are never alive together
     hg, T, mw = homology.trivalent_invariants(sk, orientation)
-    inv = homology.surface_invariants(sk, orientation, hg)
+    inv = homology.surface_invariants(sk, fibers, hg)
     return {
         "counts": sk.counts(),
         "genus": genus(sk),
@@ -338,7 +339,9 @@ def main(argv=None):
     except SkeletonError as e:
         print(f"invalid skeleton: {e}", file=sys.stderr)
         return 3
-    except AssertionError as e:
+    except (AssertionError, ValueError) as e:
+        # every input error is a ParseError or SkeletonError, caught
+        # above; any other ValueError is a check inside the engine
         print(f"internal error: {e}", file=sys.stderr)
         return 4
 

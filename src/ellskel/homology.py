@@ -44,7 +44,7 @@ from .exact import (
 )
 from .generalized import from_skeleton, kernel_cycles
 from .lattices import IntLattice, radical_and_quotient
-from .skeletons import X, fiber_types, genus, gl2_mul, monodromy, regions
+from .skeletons import X, genus, gl2_mul, monodromy, regions
 
 # X^d and the polarized form's block -S X^d for d mod 3, where S is the
 # symplectic Gram (a.b = 1)
@@ -283,9 +283,13 @@ class SurfaceInvariants:
     rank_ker: int
 
 
-def surface_invariants(sk, orientation, hg):
-    """Numeric invariants from (k, t, g), cross-checked against H_Gamma."""
-    _, k, t = fiber_types(sk, orientation)
+def surface_invariants(sk, fibers, hg):
+    """Numeric invariants from (k, t, g), cross-checked against H_Gamma.
+
+    `fibers` is the `(types, k, t)` triple that `fiber_types` returned for
+    the orientation `hg` was built with.
+    """
+    _, k, t = fibers
     g = genus(sk)
     inv = SurfaceInvariants(
         k=k,

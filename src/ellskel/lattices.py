@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 
 from . import exact
 from .exact import (
@@ -29,6 +31,12 @@ from .exact import (
 )
 
 
+def _check_gram(g):
+    if any(len(r) != len(g) for r in g) or not exact.is_symmetric(g):
+        raise ValueError("Gram matrix must be square and symmetric")
+    return g
+
+
 @dataclass(frozen=True)
 class IntLattice:
     gram: tuple  # tuple of row tuples, symmetric integer matrix
@@ -36,8 +44,7 @@ class IntLattice:
 
     def __post_init__(self):
         g = tuple(tuple(r) for r in self.gram)
-        object.__setattr__(self, "gram", g)
-        assert exact.is_symmetric([list(r) for r in g])
+        object.__setattr__(self, "gram", _check_gram(g))
 
     @property
     def rank(self):
@@ -90,10 +97,7 @@ class RatLattice:
 
     def __post_init__(self):
         g = tuple(tuple(Fraction(x) for x in r) for r in self.gram)
-        object.__setattr__(self, "gram", g)
-        n = len(g)
-        assert all(len(r) == n for r in g)
-        assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
+        object.__setattr__(self, "gram", _check_gram(g))
 
     @property
     def rank(self):
@@ -184,11 +188,13 @@ def radical_and_quotient(L):
     if r == 0:
         return K, IntLattice(G, L.label)
     S, U, V = smith_normal_form(K)
-    assert all(S[i][i] == 1 for i in range(r)), "kernel basis not saturated"
+    if not all(S[i][i] == 1 for i in range(r)):
+        raise AssertionError("kernel basis not saturated")
     Uinv = unimodular_inverse(U)
     comp = [[Uinv[i][j] for j in range(r, n)] for i in range(n)]
     Q = mat_mul(transpose(comp), mat_mul(G, comp))
-    assert det(Q) != 0
+    if det(Q) == 0:
+        raise AssertionError("quotient by the radical is degenerate")
     return K, IntLattice(Q, L.label)
 
 
@@ -211,7 +217,8 @@ def discriminant(L):
     )
     quad = tuple(Fraction(B[i][i]) % 2 for i in idx) if Lq.is_even() else None
     inv = AbelianInvariants(0, tuple(divisors[i] for i in idx))
-    assert inv.order == abs(det(G))
+    if inv.order != abs(det(G)):
+        raise AssertionError(f"discriminant group of order {inv.order} != |det|")
     return DiscriminantForm(inv, bil, quad)
 
 
@@ -231,7 +238,8 @@ def modified_form(L, f, c):
     c = Fraction(c)
     G = L.gram_rows()
     n = L.rank
-    assert len(f) == n
+    if len(f) != n:
+        raise ValueError(f"functional has {len(f)} entries, rank is {n}")
     return RatLattice(
         [[Fraction(G[i][j]) + c * f[i] * f[j] for j in range(n)] for i in range(n)]
     )
@@ -253,7 +261,8 @@ def congruence_sublattice(L, f, m):
     if m < 1:
         raise ValueError("modulus must be >= 1")
     n = L.rank
-    assert len(f) == n
+    if len(f) != n:
+        raise ValueError(f"functional has {len(f)} entries, rank is {n}")
     if n == 0:
         return IntLattice([], None)
     if all(x == 0 for x in f) or m == 1:
@@ -263,7 +272,8 @@ def congruence_sublattice(L, f, m):
         K = integer_kernel([list(f) + [-m]])
         B = exact.column_lattice_hnf([row for row in K[:n]])
     idx = m // gcd(m, content(f)) if any(f) else 1
-    assert abs(det(B)) == idx
+    if abs(det(B)) != idx:
+        raise AssertionError(f"congruence sublattice index {abs(det(B))} != {idx}")
     Gr = mat_mul(transpose(B), mat_mul(L.gram_rows(), B))
     G = []
     for row in Gr:
@@ -281,33 +291,73 @@ def congruence_sublattice(L, f, m):
 # isometry testing (small positive definite lattices)
 
 
-def _greedy_reduce(G):
-    """Pairwise norm reduction; returns (G', T) with G' = T^t G T unimodular T."""
+def lll_reduce(G):
+    """Integral LLL on a positive definite Gram matrix, delta = 99/100.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7,
+    in integers only: d[k + 1] is the leading principal minor of order
+    k + 1 of the current Gram matrix (d[0] = 1) and lam[k][l] = d[l + 1]
+    times the Gram-Schmidt coefficient mu_kl.  Returns (G', T) with
+    G' = T^t G T and T unimodular.  G' is size-reduced,
+    |2 lam[k][l]| <= d[l + 1], and satisfies the Lovasz condition
+    100 d[k + 1] d[k - 1] >= 99 d[k]^2 - 100 lam[k][k - 1]^2.
+    """
     n = len(G)
     G = mat_copy(G)
     T = identity(n)
+    d = [1] * (n + 1)
+    lam = zeros(n, n)
 
-    def colop(i, j, q):  # b_i += q * b_j
-        for k in range(n):
-            T[k][i] += q * T[k][j]
-        for k in range(n):
-            G[k][i] += q * G[k][j]
-        for k in range(n):
-            G[i][k] += q * G[j][k]
+    def red(k, l):  # b_k -= q b_l with q the integer nearest lam_kl / d_l
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        for M in T, G:
+            for row in M:
+                row[k] -= q * row[l]
+        G[k] = [a - q * b for a, b in zip(G[k], G[l])]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
 
-    changed = True
-    rounds = 0
-    while changed and rounds < 100:
-        changed = False
-        rounds += 1
-        for i in range(n):
-            for j in range(n):
-                if i == j or G[j][j] == 0:
-                    continue
-                q = -round(Fraction(G[i][j], G[j][j]))
-                if q and G[i][i] + 2 * q * G[i][j] + q * q * G[j][j] < G[i][i]:
-                    colop(i, j, q)
-                    changed = True
+    def swap(k, kmax):  # exchange b_k and b_(k-1)
+        for M in T, G:
+            for row in M:
+                row[k - 1], row[k] = row[k], row[k - 1]
+        G[k - 1], G[k] = G[k], G[k - 1]
+        lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+        m = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    if n:
+        d[1] = G[0][0]
+        if d[1] <= 0:
+            raise ValueError("LLL needs a positive definite Gram matrix")
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:  # incremental Gram-Schmidt; lam[k][k] ends as d[k + 1]
+            kmax = k
+            for j in range(k + 1):
+                u = G[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                lam[k][j] = u
+            d[k + 1] = lam[k][k]
+            if d[k + 1] <= 0:
+                raise ValueError("LLL needs a positive definite Gram matrix")
+        red(k, k - 1)
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
     return G, T
 
 
@@ -318,7 +368,8 @@ def short_vectors(G, bound):
         return []
     q = [[Fraction(G[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
-        assert q[i][i] > 0
+        if q[i][i] <= 0:
+            raise ValueError("short_vectors needs a positive definite Gram matrix")
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
@@ -351,61 +402,89 @@ def short_vectors(G, bound):
     return out
 
 
+class _Quotient:
+    """A lattice modulo its radical, LLL-reduced when it is definite.
+
+    As the right-hand side of `is_isometric` it is kept by `_target`, and
+    the short vectors of its reduced Gram, grouped by norm and each paired
+    with G v, are enumerated once up to the largest bound asked for.
+    """
+
+    def __init__(self, L):
+        K, Q = radical_and_quotient(L)
+        self.radical_rank = len(K[0]) if K and K[0] else 0
+        self.quotient = Q
+        self.det = Q.det()
+        self.definite = Q.is_positive_definite()
+        if self.definite:
+            self.reduced, self.transform = lll_reduce(Q.gram_rows())
+        self.bound = 0
+        self.by_norm = {}
+
+    def vectors(self, bound):
+        if bound > self.bound:
+            G = self.reduced
+            by_norm = {}
+            for v in short_vectors(G, bound):
+                Gv = exact.mat_vec(G, v)
+                by_norm.setdefault(sum(map(mul, v, Gv)), []).append((v, Gv))
+            self.bound, self.by_norm = bound, by_norm
+        return self.by_norm
+
+
+@lru_cache(maxsize=16)
+def _target(L):
+    return _Quotient(L)
+
+
 def is_isometric(L1, L2, witness=False):
     """Decide L1 ~= L2 (after radical removal, positive definite, small rank).
+
+    Both quotients are LLL-reduced (`lll_reduce`).  The images of L1's
+    reduced basis are searched by backtracking among the short vectors of
+    L2's reduced Gram, up to the largest norm in L1's reduced basis.  The
+    L2 side is cached per lattice (`_target`), so testing many lattices
+    against one L2 reduces it and enumerates its short vectors once.
 
     With witness=True returns (flag, U) where G1' = U^t G2' U on the
     nondegenerate quotients; otherwise just the flag.
     """
-    K1, Q1 = radical_and_quotient(L1)
-    K2, Q2 = radical_and_quotient(L2)
-    r1 = len(K1[0]) if K1 and K1[0] else 0
-    r2 = len(K2[0]) if K2 and K2[0] else 0
+    A, B = _Quotient(L1), _target(L2)
 
     def result(flag, U=None):
         return (flag, U) if witness else flag
 
-    if r1 != r2 or Q1.rank != Q2.rank:
+    n = A.quotient.rank
+    if A.radical_rank != B.radical_rank or n != B.quotient.rank:
         return result(False)
-    n = Q1.rank
     if n == 0:
         return result(True, identity(0))
-    if Q1.det() != Q2.det():
+    if A.det != B.det:
         return result(False)
-    if not (Q1.is_positive_definite() and Q2.is_positive_definite()):
+    if not (A.definite and B.definite):
         raise ValueError("isometry testing supports definite lattices only")
-    G1, T1 = _greedy_reduce(Q1.gram_rows())
-    G2 = Q2.gram_rows()
-    bound = max(G1[i][i] for i in range(n))
-    vecs = short_vectors(G2, bound)
-    by_norm = {}
-    for v in vecs:
-        norm = sum(v[i] * G2[i][j] * v[j] for i in range(n) for j in range(n))
-        by_norm.setdefault(norm, []).append(v)
+    G1 = A.reduced
+    by_norm = B.vectors(max(G1[i][i] for i in range(n)))
     cols = [None] * n
-    gcols = [None] * n  # G2 * col, cached for pairing checks
 
     def place(i):
         if i == n:
             return True
-        for v in by_norm.get(G1[i][i], ()):
-            ok = True
-            for j in range(i):
-                if sum(v[a] * gcols[j][a] for a in range(n)) != G1[i][j]:
-                    ok = False
-                    break
-            if ok:
+        for v, Gv in by_norm.get(G1[i][i], ()):
+            if all(sum(map(mul, Gv, cols[j])) == G1[i][j] for j in range(i)):
                 cols[i] = v
-                gcols[i] = exact.mat_vec(G2, v)
                 if place(i + 1):
                     return True
         return False
 
     if not place(0):
         return result(False)
-    W = transpose(cols)  # images of the reduced basis of Q1
-    # G1 = W^t G2 W and G1 = T1^t Gq1 T1, so U maps the original basis of Q1
-    U = mat_mul(W, unimodular_inverse(T1))
-    assert mat_eq(mat_mul(transpose(U), mat_mul(G2, U)), Q1.gram_rows())
-    assert det(U) in (1, -1)
+    # G1 = W^t G2 W on the reduced bases, with Gi = Ti^t Qi Ti
+    W = transpose(cols)
+    U = mat_mul(B.transform, mat_mul(W, unimodular_inverse(A.transform)))
+    G2 = B.quotient.gram_rows()
+    if not mat_eq(mat_mul(transpose(U), mat_mul(G2, U)), A.quotient.gram_rows()):
+        raise AssertionError("isometry witness fails U^t G2 U = G1")
+    if det(U) not in (1, -1):
+        raise AssertionError(f"isometry witness has det {det(U)}, not +-1")
     return result(True, U)

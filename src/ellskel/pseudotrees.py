@@ -106,13 +106,15 @@ def tree_to_skeleton(tree):
         op[b] = a
     sk = Skeleton(n, tuple(op), tuple(nx))
     sk.validate()
-    assert genus(sk) == 0
+    if genus(sk) != 0:
+        raise AssertionError("pseudo-tree skeleton is not planar")
     return sk, leaves
 
 
 def outer_region(sk):
     outer = [r for r in regions(sk) if r.size > 1]
-    assert len(outer) == 1
+    if len(outer) != 1:
+        raise AssertionError(f"{len(outer)} regions of size > 1, expected 1")
     return outer[0]
 
 
@@ -127,7 +129,8 @@ def leaf_order(sk, leaves):
     pos = {e: i for i, e in enumerate(cycle)}
     N = len(cycle)
     for lf in leaves:
-        assert pos[lf.tree_end] == (pos[lf.loop_head] + 1) % N
+        if pos[lf.tree_end] != (pos[lf.loop_head] + 1) % N:
+            raise AssertionError(f"leaf {lf} is not a boundary pair")
     first = next(lf for lf in leaves if lf.tree_end == 0)
     ordered = sorted(
         leaves, key=lambda lf: (pos[lf.tree_end] - pos[first.tree_end]) % N
@@ -135,7 +138,8 @@ def leaf_order(sk, leaves):
     dists = []
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
         dists.append((pos[b.loop_head] - pos[a.tree_end]) % N + 1)
-    assert sum(dists) == N
+    if sum(dists) != N:
+        raise AssertionError(f"leaf distances {dists} do not sum to {N}")
     return ordered, tuple(dists)
 
 
@@ -205,7 +209,8 @@ def contract(tree):
     U = transpose(split + vecs)
     W = standard_lattice("W", k)
     got = mat_mul(transpose(U), mat_mul(Q.gram_rows(), U))
-    assert got == W.gram_rows(), "contraction did not reach W_k"
+    if got != W.gram_rows():
+        raise AssertionError("contraction did not reach W_k")
     chi = m
     psi = list(m)
     psi[k - 1] -= 2
@@ -281,9 +286,9 @@ def expected_fiber_names(series, s):
     return sorted([f"A~{5 * k - 2}", "D~5"] + ["A~0*"] * k)
 
 
-def fiber_lattice_det(sk, orientation):
-    """Product of the root-lattice determinants of all singular fibers."""
-    types, _, _ = fiber_types(sk, orientation)
+def fiber_lattice_det(types):
+    """Product of the root-lattice determinants of the fibers in `types`,
+    the per-region map that `fiber_types` returns."""
     d = 1
     for ft in types.values():
         L = ft.root_lattice()
@@ -318,17 +323,18 @@ def verify_series(series, s):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, series)
         types, _, _ = fiber_types(sk, o)
-        assert sorted(ft.name for ft in types.values()) == expected_fiber_names(
-            series, s
-        )
+        names = sorted(ft.name for ft in types.values())
+        if names != expected_fiber_names(series, s):
+            raise AssertionError(f"{series} s={s} tree {idx}: fibers {names}")
         _, T, mw = homology.trivalent_invariants(sk, o)
         lattice_ok = is_isometric(T, expect)
         det_T = T.det() if T.rank else 1
-        det_S = fiber_lattice_det(sk, o)
+        det_S = fiber_lattice_det(types)
         index_sq, order = det_S // det_T, 1
         while order * order < index_sq:
             order += 1
-        assert order * order == index_sq, (det_S, det_T)
+        if order * order != index_sq:
+            raise AssertionError(f"det S / det T = {det_S} / {det_T} is not a square")
         mw_ok = (mw.order == order) and (order == 1 or s == 1)
         results.append((idx, lattice_ok, mw, mw_ok))
     return SeriesReport(series, s, tuple(results))

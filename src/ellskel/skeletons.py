@@ -256,27 +256,31 @@ class Path:
         return len(self.word) % 2 == 0 and seq[-1] == seq[0]
 
 
+# the step lifts: -X^-1 for nx, -X for nx^-1, and for op -Y or -Y^-1 as
+# the step arrives at a head or a tail
+STEP_NX, STEP_NX_INV, STEP_OP_HEAD, STEP_OP_TAIL = (
+    tuple(map(tuple, mat_neg(m))) for m in (XINV, X, Y, YINV)
+)
+
+
 def step_matrix(sk, orientation, step, end_from):
     """SL(2,Z) lift of one path step leaving `end_from`."""
     if step == NX:
-        return gl2_mul(mat_neg(XINV))
+        return STEP_NX
     if step == NX_INV:
-        return gl2_mul(mat_neg(X))
-    arrive = sk.op[end_from]
-    return (
-        [tuple(r) for r in mat_neg(Y)]
-        if orientation.is_head(arrive)
-        else [tuple(r) for r in mat_neg(YINV)]
-    )
+        return STEP_NX_INV
+    if orientation.is_head(sk.op[end_from]):
+        return STEP_OP_HEAD
+    return STEP_OP_TAIL
 
 
 def monodromy(sk, orientation, path):
     """Product m_r ... m_1 of the step lifts along the path."""
-    seq = path.ends(sk)
-    out = identity(2)
-    for s, a in zip(path.word, seq):
-        out = mat_mul(step_matrix(sk, orientation, s, a), out)
-    return [tuple(r) for r in out]
+    a, b, c, d = 1, 0, 0, 1
+    for s, e in zip(path.word, path.ends(sk)):
+        (p, q), (r, t) = step_matrix(sk, orientation, s, e)
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d
+    return [(a, b), (c, d)]
 
 
 def parallel_transport(sk, orientation, path, h0):

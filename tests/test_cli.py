@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from ellskel import homology, skelfile
+from ellskel import cli, homology, lattices, pseudotrees, skelfile, skeletons
 from ellskel.cli import main, orientation_sweep
 from ellskel.generalized import from_skeleton, insert_E_fiber
 from ellskel.pseudotrees import (
+    SERIES,
     enumerate_marked_trees,
+    expected_lattice,
     orientation_for_series,
     tree_to_skeleton,
 )
@@ -138,6 +140,18 @@ def test_json_is_deterministic(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "analyze", str(f), "--json")
     _, out2, _ = run_cli(capsys, "analyze", str(f), "--json")
     assert out1 == out2
+
+
+def test_engine_value_error_exit_4(tmp_path, capsys, monkeypatch):
+    # a non-symmetric Gram inside the engine is an internal error, not a
+    # mismatch (exit 1) or an input error (exit 2 or 3)
+    monkeypatch.setattr(cli, "analyze_skeleton",
+                        lambda sk, o: lattices.IntLattice([[0, 1], [2, 0]]))
+    f = tmp_path / "k1.skel"
+    f.write_text(K1_TEXT)
+    code, _, err = run_cli(capsys, "analyze", str(f))
+    assert code == 4
+    assert "internal error: Gram matrix must be square and symmetric" in err
 
 
 def test_analyze_parse_error_exit_2(tmp_path, capsys):
@@ -402,6 +416,56 @@ def test_one_h_gamma_per_analysis(tmp_path, capsys, monkeypatch):
     calls.clear()
     code, out, _ = run_cli(capsys, "verify-series", "all", "--s-max", "2", "--json")
     assert code == 0 and len(calls) == len(json.loads(out)["results"]) == 18
+
+
+def test_one_fiber_types_per_analysis(tmp_path, capsys, monkeypatch):
+    bindings = [count_calls(monkeypatch, module, "fiber_types")
+                for module in (cli, homology, pseudotrees, skeletons)
+                if hasattr(module, "fiber_types")]
+
+    def calls():
+        return sum(map(len, bindings))
+
+    rng = random.Random(13)
+    for n_vertices in (2, 4, 6):
+        sk = random_skeleton(rng, n_vertices)
+        f = tmp_path / "sk.skel"
+        f.write_text(skelfile.format_skeleton(sk, default_orientation(sk)))
+        before = calls()
+        code, _, _ = run_cli(capsys, "analyze", str(f), "--json")
+        assert code == 0 and calls() == before + 1
+        before = calls()
+        code, out, _ = run_cli(capsys, "analyze", str(f), "--json",
+                               "--orientation-sweep")
+        assert code == 0
+        assert calls() == before + 1 + len(json.loads(out)["orientation_sweep"])
+    before = calls()
+    code, out, _ = run_cli(capsys, "verify-series", "all", "--s-max", "2", "--json")
+    assert code == 0 and calls() - before == len(json.loads(out)["results"]) == 18
+
+
+def test_one_short_vector_enumeration_per_series_level(capsys, monkeypatch):
+    """verify_series tests every tree of a level against one expected
+    lattice, whose short vectors are enumerated once for the level."""
+    calls = count_calls(monkeypatch, lattices, "short_vectors")
+    per_level = {}
+    verify = cli.verify_series
+
+    def verify_level(series, s):
+        before = len(calls)
+        report = verify(series, s)
+        per_level[series, s] = len(calls) - before
+        return report
+
+    monkeypatch.setattr(cli, "verify_series", verify_level)
+    lattices._target.cache_clear()
+    code, _, _ = run_cli(capsys, "verify-series", "all", "--s-max", "3")
+    assert code == 0 and len(per_level) == 12
+    nonzero = {(series, s) for series in SERIES for s in (1, 2, 3)
+               if expected_lattice(series, s).rank}
+    assert len(nonzero) == 9
+    assert {level for level, n in per_level.items() if n} == nonzero
+    assert max(per_level.values()) == 1
 
 
 def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import ast
 import random
 from pathlib import Path
 
-from ellskel import generalized, homology
+from ellskel import generalized, homology, lattices, pseudotrees
 from ellskel.exact import integer_kernel, rank, zeros
 from ellskel.generalized import from_skeleton, kernel_cycles
 from ellskel.homology import (
@@ -196,7 +196,8 @@ def test_region_cohomology_types():
 
 def test_surface_invariants_k1():
     o = k1_all_A_orientation()
-    inv = surface_invariants(PSEUDOTREE_K1, o, hg_of(PSEUDOTREE_K1, o))
+    inv = surface_invariants(PSEUDOTREE_K1, fiber_types(PSEUDOTREE_K1, o),
+                             hg_of(PSEUDOTREE_K1, o))
     assert (inv.k, inv.t, inv.g) == (1, 1, 0)
     assert inv.chi == 12
     assert inv.sigma_plus == 1
@@ -210,7 +211,7 @@ def test_surface_invariants_torus_theta():
     sk = THETA_TORUS
     # find an orientation with k+t even (always true) and check r with g=1
     o = default_orientation(sk)
-    inv = surface_invariants(sk, o, hg_of(sk, o))
+    inv = surface_invariants(sk, fiber_types(sk, o), hg_of(sk, o))
     assert inv.g == 1
     assert inv.r == 1
 
@@ -221,7 +222,7 @@ def test_transcendental_lattice_positive_definite():
         sk = random_skeleton(rng, rng.choice([2, 4]))
         o = default_orientation(sk)
         hg, T, _ = trivalent_invariants(sk, o)
-        inv = surface_invariants(sk, o, hg)
+        inv = surface_invariants(sk, fiber_types(sk, o), hg)
         assert T.rank == inv.rank_T
         if T.rank:
             assert T.is_positive_definite()
@@ -249,7 +250,7 @@ def test_reorient_invariance():
 def test_engine_has_no_assert_statements():
     """The engine's checks raise AssertionError explicitly, so `python -O`
     keeps them (and the CLI's exit code 4)."""
-    for module in (homology, generalized):
+    for module in (homology, generalized, lattices, pseudotrees):
         tree = ast.parse(Path(module.__file__).read_text())
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert lines == [], f"{module.__name__} asserts at lines {lines}"

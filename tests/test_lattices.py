@@ -34,6 +34,13 @@ def test_standard_lattices():
         standard_lattice("A", 0)
 
 
+def test_gram_must_be_square_and_symmetric():
+    for cls in IntLattice, RatLattice:
+        for G in [[1, 2], [3, 4]], [[1, 0], [0]], [[1, 0]]:
+            with pytest.raises(ValueError, match="square and symmetric"):
+                cls(G)
+
+
 def test_root_lattice_determinants():
     # classical values: det A_n = n+1, det D_n = 4, det E_n = 9-n
     for n in range(1, 7):
@@ -267,3 +274,116 @@ def test_positive_definite_matches_leading_minors():
     # a zero leading entry with a definite-looking rest is still rejected
     assert not IntLattice([[0, 1], [1, 2]]).is_positive_definite()
     assert not IntLattice([[2, 0], [0, 0]]).is_positive_definite()
+
+
+def random_unimodular(rng, n, steps=8, q=2):
+    U = identity(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-q, q)
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def congruent(G, U):
+    return mat_mul(transpose(U), mat_mul(G, U))
+
+
+def test_lll_reduce_property():
+    """T^t G T = G', det T = +-1, and G' is size-reduced and Lovasz-reduced
+    for delta = 99/100, with d_k and lambda_kl recomputed by a Fraction
+    Gram-Schmidt of G'."""
+    rng = random.Random(67)
+    roots = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    roots += [("E", 6), ("E", 7), ("E", 8)]
+    swaps = 0
+    for case in range(240):
+        if case % 2:
+            n = rng.randint(1, 8)
+            A = [[rng.randint(-4, 4) for _ in range(n)]
+                 for _ in range(rng.randint(0, n + 2))] + identity(n)
+            G = mat_mul(transpose(A), A)
+        else:  # a root lattice in a skewed basis
+            G = standard_lattice(*rng.choice(roots)).gram_rows()
+            n = len(G)
+            G = congruent(G, random_unimodular(rng, n, steps=12, q=3))
+        Gr, T = lattices.lll_reduce(G)
+        assert congruent(G, T) == Gr
+        assert exact.det(T) in (1, -1)
+        swaps += T != identity(n)
+        B, mu = [], [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                mu[i][j] = (Gr[i][j] - sum(mu[j][h] * mu[i][h] * B[h]
+                                           for h in range(j))) / B[j]
+            B.append(Gr[i][i] - sum((mu[i][h] ** 2 * B[h] for h in range(i)),
+                                    Fraction(0)))
+        d = [1]  # d[l + 1] is the leading minor of order l + 1
+        for b in B:
+            d.append(d[-1] * b)
+        assert all(x.denominator == 1 and x > 0 for x in d)
+        for k in range(1, n):
+            lam = [mu[k][l] * d[l + 1] for l in range(k)]
+            assert all(x.denominator == 1 for x in lam)
+            assert all(abs(2 * lam[l]) <= d[l + 1] for l in range(k))
+            assert (100 * d[k + 1] * d[k - 1]
+                    >= 99 * d[k] ** 2 - 100 * lam[k - 1] ** 2)
+    assert swaps > 100
+    assert lattices.lll_reduce([]) == ([], [])
+    for G in [[0]], [[-3]], [[-1, 0], [0, -1]], [[1, 2], [2, 1]]:
+        with pytest.raises(ValueError):
+            lattices.lll_reduce(G)
+
+
+def test_isometry_target_reuse(monkeypatch):
+    """Queries against one L2 in several orders, sharing its cached target:
+    the verdicts equal those of a cold cache, every witness holds, and the
+    short vectors are enumerated again only when a query needs a larger
+    bound than any before it."""
+    rng = random.Random(73)
+    base = [[2, 0, 0], [0, 2, 0], [0, 0, 6]]
+    L2 = IntLattice(congruent(base, random_unimodular(rng, 3)))
+    queries = [  # (Gram, isometric to L2); every one has rank 3 and det 24
+        (congruent(base, random_unimodular(rng, 3)), True),
+        (congruent(base, random_unimodular(rng, 3)), True),
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 4]], False),
+        ([[2, -1, 0], [-1, 2, 0], [0, 0, 8]], False),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 24]], False),
+        ([[1, 0, 0], [0, 4, 0], [0, 0, 6]], False),
+        (base, True),
+    ]
+    for G, expected in queries:  # each against a cold cache
+        lattices._target.cache_clear()
+        assert is_isometric(IntLattice(G), L2) == expected
+    bounds = []
+    original = lattices.short_vectors
+
+    def spy(G, bound):
+        bounds.append(bound)
+        return original(G, bound)
+
+    monkeypatch.setattr(lattices, "short_vectors", spy)
+    grew = False
+    for order in range(6):
+        lattices._target.cache_clear()
+        bounds.clear()
+        perm = list(range(len(queries)))
+        rng.shuffle(perm)
+        if order == 0:  # a small bound first, then a larger one
+            perm.sort(key=lambda i: max(queries[i][0][j][j] for j in range(3)))
+        for i in perm:
+            G, expected = queries[i]
+            ok, U = is_isometric(IntLattice(G), L2, witness=True)
+            assert ok == expected
+            if ok:
+                assert congruent(L2.gram_rows(), U) == G
+                assert exact.det(U) in (1, -1)
+            assert lattices._target(L2).bound == max(bounds)
+        assert bounds == sorted(set(bounds))
+        seen = len(bounds)
+        grew |= len(bounds) > 1
+        # the same queries again reuse the target and enumerate nothing
+        for G, expected in queries:
+            assert is_isometric(IntLattice(G), L2) == expected
+        assert len(bounds) == seen
+    assert grew

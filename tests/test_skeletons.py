@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ellskel.exact import identity, mat_eq, mat_neg
+from ellskel.exact import identity, mat_eq, mat_mul, mat_neg
 from ellskel.skeletons import (
     NX,
     NX_INV,
@@ -11,6 +11,8 @@ from ellskel.skeletons import (
     Path,
     Skeleton,
     SkeletonError,
+    XINV,
+    YINV,
     X,
     Y,
     all_orientations,
@@ -24,6 +26,7 @@ from ellskel.skeletons import (
     parallel_transport,
     regions,
     reorient,
+    step_matrix,
 )
 
 
@@ -133,6 +136,35 @@ def test_monodromy_empty_and_region():
             m = monodromy(sk, o, reg.boundary_path())
             n = reg.size
             assert m in ([(1, n), (0, 1)], [(-1, -n), (0, -1)])
+
+
+def test_monodromy_matches_step_products():
+    """The inline 2x2 product against mat_mul over the step lifts, built
+    here from the generators, on random reduced words with all three
+    step kinds."""
+    lifts = {NX: mat_neg(gl2_mul(XINV)), NX_INV: mat_neg(gl2_mul(X))}
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(40):
+        sk = random_skeleton(rng, rng.choice([2, 4, 6]))
+        o = rng.choice(list(all_orientations(sk)))
+        word = []
+        for _ in range(rng.randint(0, 9)):
+            word += [OP, rng.choice((NX, NX_INV))]
+        if rng.random() < 0.5:
+            word = word[1:]
+        path = Path(rng.randrange(sk.n_ends), tuple(word))
+        want = identity(2)
+        for step, end in zip(path.word, path.ends(sk)):
+            if step == OP:
+                lift = mat_neg(gl2_mul(Y if o.is_head(sk.op[end]) else YINV))
+            else:
+                lift = lifts[step]
+            assert [tuple(r) for r in lift] == list(step_matrix(sk, o, step, end))
+            want = mat_mul(lift, want)
+            seen.add(step)
+        assert monodromy(sk, o, path) == [tuple(r) for r in want]
+    assert seen == {OP, NX, NX_INV}
 
 
 def test_monogon_orientation_sign():
