@@ -29,7 +29,6 @@ from .pseudotrees import (
 from .skeletons import (
     SkeletonError,
     fiber_types,
-    genus,
     orientation_classes,
     regions,
 )
@@ -63,10 +62,10 @@ def analyze_skeleton(sk, orientation):
     # after the region loop, so that its matrices and the relation matrix
     # are never alive together
     hg, T, mw = homology.trivalent_invariants(sk, orientation)
-    inv = homology.surface_invariants(sk, fibers, hg)
+    inv = homology.surface_invariants(sk, fibers, hg, T)
     return {
         "counts": sk.counts(),
-        "genus": genus(sk),
+        "genus": inv.g,
         "heads": list(orientation.heads),
         "regions": region_rows,
         "invariants": {
@@ -93,7 +92,7 @@ def analyze_skeleton(sk, orientation):
 
 def analyze_labelled(lsk):
     hg = homology.h_gamma(lsk)
-    T = homology.transcendental_lattice(hg)
+    radical, T = homology.transcendental_lattice(hg)
     mw = homology.mordell_weil(hg)
     rows = []
     for r in regions(lsk):
@@ -116,7 +115,8 @@ def analyze_labelled(lsk):
             "positive_definite": bool(T.rank and T.is_positive_definite()),
         },
         "mordell_weil": _mw_dict(mw),
-        "kernel_cycles_span_radical": homology.kernel_cycles_span_radical(lsk, hg),
+        "kernel_cycles_span_radical": homology.kernel_cycles_span_radical(
+            lsk, hg, radical),
     }
 
 

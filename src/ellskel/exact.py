@@ -1,15 +1,15 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra.
 
-Matrices are dense lists of rows; entries are Python ints (arbitrary
-precision) or :class:`fractions.Fraction`.  No floating point is used
-anywhere in this package.
+Matrices are dense lists of rows of Python ints (arbitrary precision).
+No floating point is used anywhere in this package.
 
 Conventions:
 
 * ``hermite_normal_form`` and ``smith_normal_form`` act on the left/right
   by unimodular transforms, ``H = U*M`` and ``S = U*M*V``.
 * ``integer_kernel(M)`` returns a matrix whose *columns* form a basis of
-  ``{x : M x = 0}``.
+  ``{x : M x = 0}``; its transpose is in Hermite form, and
+  ``kernel_coordinates`` solves against such a basis.
 * ``cokernel_invariants(M)`` describes ``Z^cols / rowspan(M)``, i.e. the
   cokernel of the map sending a row vector ``x`` to ``x*M``.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from operator import mul
 
@@ -54,24 +53,6 @@ class AbelianInvariants:
             n *= d
         return n
 
-    def primary_decomposition(self):
-        """Sorted multiset of prime-power cyclic factors (torsion part)."""
-        factors = []
-        for d in self.torsion:
-            m = d
-            p = 2
-            while p * p <= m:
-                if m % p == 0:
-                    q = 1
-                    while m % p == 0:
-                        m //= p
-                        q *= p
-                    factors.append(q)
-                p += 1
-            if m > 1:
-                factors.append(m)
-        return tuple(sorted(factors))
-
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
@@ -83,7 +64,8 @@ class AbelianInvariants:
 def shape(M):
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    assert all(len(r) == cols for r in M)
+    if any(len(r) != cols for r in M):
+        raise ValueError("rows of unequal length")
     return rows, cols
 
 
@@ -109,21 +91,14 @@ def mat_mul(A, B):
     if m == 0:
         return []
     n2, p = shape(B)
-    assert n == n2, "dimension mismatch"
+    if n != n2:
+        raise ValueError(f"dimension mismatch: {n} columns times {n2} rows")
     Bt = transpose(B)
     return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_neg(A):
     return [[-a for a in r] for r in A]
-
-
-def mat_scale(A, c):
-    return [[c * a for a in r] for r in A]
 
 
 def mat_eq(A, B):
@@ -133,29 +108,14 @@ def mat_eq(A, B):
 
 
 def mat_vec(A, v):
-    assert all(len(r) == len(v) for r in A)
+    if any(len(r) != len(v) for r in A):
+        raise ValueError("dimension mismatch")
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def is_symmetric(M):
     m, n = shape(M)
     return m == n and all(M[i][j] == M[j][i] for i in range(n) for j in range(i))
-
-
-def hstack(A, B):
-    assert len(A) == len(B)
-    return [ra + rb for ra, rb in zip(A, B)]
-
-
-def vstack(A, B):
-    ma, na = shape(A)
-    mb, nb = shape(B)
-    assert na == nb or ma == 0 or mb == 0
-    return mat_copy(A) + mat_copy(B)
-
-
-def submatrix(M, rows, cols):
-    return [[M[i][j] for j in cols] for i in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +169,6 @@ def hermite_normal_form(M):
             if r == m:
                 break
     return H, U
-
-
-def rank(M):
-    H, _ = hermite_normal_form(M)
-    return sum(1 for row in H if any(row))
 
 
 def smith_normal_form(M):
@@ -402,6 +357,27 @@ def integer_kernel(M):
     return transpose(canon)
 
 
+def kernel_coordinates(K, v):
+    """The integer x with K x = v, for a basis K from `integer_kernel`.
+
+    K^t is in Hermite form, so the rows of K at the pivots of its columns
+    are lower triangular and x follows by forward substitution on them.
+    Raises ValueError when v is not an integer combination of the columns.
+    """
+    x = []
+    i = 0
+    for j in range(len(K[0]) if K else 0):
+        while K[i][j] == 0:  # the pivot row of column j
+            i += 1
+        q, r = divmod(v[i] - sum(map(mul, K[i][:j], x)), K[i][j])
+        if r:
+            raise ValueError("no integer solution")
+        x.append(q)
+    if mat_vec(K, x) != list(v):
+        raise ValueError("vector is not in the span of the columns")
+    return x
+
+
 def cokernel_invariants(M):
     """Invariants of Z^cols / rowspan(M)."""
     _, rest, residual = _eliminate_units(M)
@@ -414,7 +390,8 @@ def cokernel_invariants(M):
 def det(M):
     """Exact determinant (Bareiss fraction-free elimination)."""
     m, n = shape(M)
-    assert m == n
+    if m != n:
+        raise ValueError("matrix is not square")
     if n == 0:
         return 1
     A = mat_copy(M)
@@ -437,26 +414,6 @@ def det(M):
     return sign * A[n - 1][n - 1]
 
 
-def mat_inverse(M):
-    """Exact inverse with Fraction entries; raises on singular input."""
-    m, n = shape(M)
-    assert m == n
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        A[k], A[piv] = A[piv], A[k]
-        p = A[k][k]
-        A[k] = [x / p for x in A[k]]
-        for i in range(n):
-            if i != k and A[i][k] != 0:
-                c = A[i][k]
-                A[i] = [x - c * y for x, y in zip(A[i], A[k])]
-    return [row[n:] for row in A]
-
-
 def unimodular_inverse(M):
     """Inverse of a unimodular integer matrix, as an integer matrix.
 
@@ -464,42 +421,12 @@ def unimodular_inverse(M):
     is the inverse.
     """
     m, n = shape(M)
-    assert m == n
+    if m != n:
+        raise ValueError("matrix is not square")
     H, U = hermite_normal_form(M)
     if H != identity(n):
         raise AssertionError("matrix is not unimodular")
     return U
-
-
-def solve_columns(A, B):
-    """Solve A*X = B over Z for a matrix A of full column rank.
-
-    Raises ValueError when no integer solution exists.
-    """
-    m, n = shape(A)
-    mb, p = shape(B)
-    assert m == mb
-    H, U = hermite_normal_form(A)
-    # H = U*A is upper echelon with n pivot rows (full column rank)
-    C = mat_mul(U, B)
-    pivots = []
-    for i in range(m):
-        j = next((j for j in range(n) if H[i][j] != 0), None)
-        if j is not None:
-            pivots.append((i, j))
-    if len(pivots) != n:
-        raise ValueError("matrix does not have full column rank")
-    X = zeros(n, p)
-    for i, j in reversed(pivots):
-        for col in range(p):
-            s = C[i][col] - sum(H[i][jj] * X[jj][col] for jj in range(j + 1, n))
-            if s % H[i][j] != 0:
-                raise ValueError("no integer solution")
-            X[j][col] = s // H[i][j]
-    # consistency on the non-pivot rows
-    if not mat_eq(mat_mul(A, X), B):
-        raise ValueError("inconsistent system")
-    return X
 
 
 def column_lattice_hnf(M):
@@ -508,7 +435,3 @@ def column_lattice_hnf(M):
     H = [row for row in H if any(row)]
     return transpose(H)
 
-
-def is_unimodular(M):
-    m, n = shape(M)
-    return m == n and det(M) in (1, -1)

@@ -12,13 +12,10 @@ cokernel of the relation matrix yields the Mordell-Weil torsion.
 A plain oriented trivalent skeleton enters as the all-Y labelled skeleton
 `generalized.from_skeleton(sk, o)`, where the vertex relation is the
 tripod relation h_m1 + X h_m2 + X² h_m3 = 0 and the form is the tripod
-form; `trivalent_invariants` is that path.  The marked form of a
-trivalent skeleton (`h_gamma_marked`) is the independent cross-check of
-the ambient one.
+form; `trivalent_invariants` is that path.
 
-Forms are kept as integer matrices scaled by 2 lcm(valencies) (ambient
-form, 6 on trivalent input) or 2 (marked form); restriction to the kernel
-must land in integers.
+Forms are kept as integer matrices scaled by 2 lcm(valencies) (6 on
+trivalent input); restriction to the kernel must land in integers.
 """
 
 from __future__ import annotations
@@ -33,12 +30,10 @@ from . import skeletons
 from .exact import (
     AbelianInvariants,
     cokernel_invariants,
-    column_lattice_hnf,
     identity,
     integer_kernel,
+    kernel_coordinates,
     mat_vec,
-    rank,
-    solve_columns,
     transpose,
     zeros,
 )
@@ -154,29 +149,9 @@ def h_gamma(lsk):
     return HGamma(D, K, _restrict_scaled_form(K, scaled_form(lsk), form_scale(lsk)))
 
 
-def h_gamma_marked(sk, kernel, marking):
-    """Gram of the marked form -sum_v s(h_m1, X h_m2) on a kernel basis.
-
-    The cross-check route for a trivalent skeleton: the kernel is the same
-    for every marking (rotating a vertex relation multiplies it by the
-    unimodular X^2), so this must equal the ambient Gram for every one.
-    """
-    n = sk.n_ends
-    F2 = zeros(2 * n, 2 * n)
-    blk = _NEG_SXD[1]
-    for v, m1 in zip(sk.vertices, marking):
-        if m1 not in v:
-            raise AssertionError(f"marking {m1} is not an end of vertex {v}")
-        m2 = sk.nx[m1]
-        _add_block(F2, 2 * m1, 2 * m2, blk)
-        _add_block(F2, 2 * m2, 2 * m1, transpose(blk))
-    return _restrict_scaled_form(kernel, F2, 2)
-
-
 def transcendental_lattice(hg):
-    """Quotient of H_Gamma by its radical."""
-    _, Q = radical_and_quotient(IntLattice(hg.gram))
-    return Q
+    """(radical basis columns, quotient T) of H_Gamma's Gram matrix."""
+    return radical_and_quotient(IntLattice(hg.gram))
 
 
 def mordell_weil(hg):
@@ -192,7 +167,7 @@ def mordell_weil(hg):
 def trivalent_invariants(sk, orientation):
     """(H_Gamma, T, MW) of an oriented trivalent skeleton; T is definite."""
     hg = h_gamma(from_skeleton(sk, orientation))
-    T = transcendental_lattice(hg)
+    _, T = transcendental_lattice(hg)
     if T.rank and not T.is_positive_definite():
         raise AssertionError("transcendental lattice is not positive definite")
     return hg, T, mordell_weil(hg)
@@ -211,22 +186,21 @@ def saturate_columns(C):
     return integer_kernel(transpose(N))
 
 
-def kernel_cycles_span_radical(lsk, hg):
-    """The invariant-vector region cycles saturate to the radical."""
-    K, gram = hg.kernel, hg.gram
+def kernel_cycles_span_radical(lsk, hg, radical):
+    """The invariant-vector region cycles saturate to the radical.
+
+    `radical` is the basis that `transcendental_lattice(hg)` returned.  It
+    comes from `integer_kernel`, so it is saturated and canonical, and so
+    is the saturation of the cycles: equal lattices have equal bases.
+    """
     cycles = kernel_cycles(lsk)
-    R = integer_kernel(gram)
-    ncols = len(K[0]) if K and K[0] else 0
-    rad_rank = len(R[0]) if R and R[0] else 0
     if not cycles:
-        return rad_rank == 0
+        return not (radical and radical[0])
     for c in cycles:
         if any(mat_vec(hg.relations, c)):
             raise AssertionError("cycle does not satisfy the relations")
-    coords = solve_columns(K, transpose(cycles))
-    S = saturate_columns(coords)
-    target = saturate_columns(R) if rad_rank else [[] for _ in range(ncols)]
-    return column_lattice_hnf(S) == column_lattice_hnf(target)
+    coords = [kernel_coordinates(hg.kernel, c) for c in cycles]
+    return saturate_columns(transpose(coords)) == radical
 
 
 def region_cohomology(sk, orientation, region):
@@ -283,11 +257,13 @@ class SurfaceInvariants:
     rank_ker: int
 
 
-def surface_invariants(sk, fibers, hg):
+def surface_invariants(sk, fibers, hg, T):
     """Numeric invariants from (k, t, g), cross-checked against H_Gamma.
 
     `fibers` is the `(types, k, t)` triple that `fiber_types` returned for
-    the orientation `hg` was built with.
+    the orientation `hg` was built with, and T is the quotient by the
+    radical from `trivalent_invariants`.  T is nondegenerate, so the Gram
+    matrix on H_Gamma has rank T.rank.
     """
     _, k, t = fibers
     g = genus(sk)
@@ -305,12 +281,11 @@ def surface_invariants(sk, fibers, hg):
     )
     K = hg.kernel
     kdim = len(K[0]) if K and K[0] else 0
-    rank_gram = rank(hg.gram)
     checks = (
         (inv.r == len(regions(sk)), "region count"),
         (kdim == 2 * k, "kernel rank"),
-        (kdim - rank_gram == inv.rank_ker, "radical rank"),
-        (rank_gram == inv.rank_T, "rank of T"),
+        (kdim - T.rank == inv.rank_ker, "radical rank"),
+        (T.rank == inv.rank_T, "rank of T"),
     )
     for ok, what in checks:
         if not ok:

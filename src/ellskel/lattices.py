@@ -1,9 +1,8 @@
-"""Integral and rational lattices.
+"""Integral lattices.
 
 A lattice is a free Z-module with a symmetric bilinear form, stored as a
 Gram matrix.  Root lattices here are positive definite.  Degenerate forms
-are handled by splitting off the radical; discriminant data always refers
-to the nondegenerate quotient.
+are handled by splitting off the radical.
 """
 
 from __future__ import annotations
@@ -16,14 +15,12 @@ from operator import mul
 
 from . import exact
 from .exact import (
-    AbelianInvariants,
     det,
     identity,
     integer_kernel,
     mat_copy,
     mat_eq,
     mat_mul,
-    mat_inverse,
     smith_normal_form,
     transpose,
     unimodular_inverse,
@@ -40,7 +37,6 @@ def _check_gram(g):
 @dataclass(frozen=True)
 class IntLattice:
     gram: tuple  # tuple of row tuples, symmetric integer matrix
-    label: str | None = None
 
     def __post_init__(self):
         g = tuple(tuple(r) for r in self.gram)
@@ -55,9 +51,6 @@ class IntLattice:
 
     def det(self):
         return det(self.gram_rows())
-
-    def is_even(self):
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def is_positive_definite(self):
         """Sylvester's criterion in one Bareiss pass without row swaps.
@@ -91,35 +84,6 @@ class IntLattice:
         return IntLattice(G)
 
 
-@dataclass(frozen=True)
-class RatLattice:
-    gram: tuple  # tuple of row tuples, symmetric, Fraction entries
-
-    def __post_init__(self):
-        g = tuple(tuple(Fraction(x) for x in r) for r in self.gram)
-        object.__setattr__(self, "gram", _check_gram(g))
-
-    @property
-    def rank(self):
-        return len(self.gram)
-
-    def gram_rows(self):
-        return [list(r) for r in self.gram]
-
-
-@dataclass(frozen=True)
-class DiscriminantForm:
-    """The finite bilinear/quadratic form on L*/L of the nondegenerate part."""
-
-    invariants: AbelianInvariants
-    bilinear: tuple  # Fractions mod 1, pairings of the torsion generators
-    quadratic: tuple | None  # Fractions mod 2 on generators; None unless even
-
-    @property
-    def order(self):
-        return self.invariants.order
-
-
 def standard_lattice(name, n):
     """Gram matrix of A_n, D_n, E_n, U, V_n or W_n (definite sign convention)."""
     if name == "A":
@@ -127,26 +91,26 @@ def standard_lattice(name, n):
             raise ValueError("A_n needs n >= 1")
         G = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
              for i in range(n)]
-        return IntLattice(G, f"A{n}")
+        return IntLattice(G)
     if name == "D":
         if n < 0:
             raise ValueError("D_n needs n >= 0")
         # low-rank conventions: D0 = 0, D1 = [4], D2 = 2A1, D3 = A3
         if n == 0:
-            return IntLattice([], "D0")
+            return IntLattice([])
         if n == 1:
-            return IntLattice([[4]], "D1")
+            return IntLattice([[4]])
         if n == 2:
-            return IntLattice([[2, 0], [0, 2]], "D2")
+            return IntLattice([[2, 0], [0, 2]])
         if n == 3:
-            return IntLattice(standard_lattice("A", 3).gram, "D3")
+            return standard_lattice("A", 3)
         G = [[0] * n for _ in range(n)]
         for i in range(n):
             G[i][i] = 2
         for i in range(n - 2):
             G[i][i + 1] = G[i + 1][i] = -1
         G[n - 3][n - 1] = G[n - 1][n - 3] = -1
-        return IntLattice(G, f"D{n}")
+        return IntLattice(G)
     if name == "E":
         if n not in (6, 7, 8):
             raise ValueError("E_n needs n in {6,7,8}")
@@ -157,21 +121,21 @@ def standard_lattice(name, n):
         for i in range(n - 2):
             G[i][i + 1] = G[i + 1][i] = -1
         G[2][n - 1] = G[n - 1][2] = -1
-        return IntLattice(G, f"E{n}")
+        return IntLattice(G)
     if name == "U":
         if n != 2:
             raise ValueError("U has rank 2")
-        return IntLattice([[0, 1], [1, 0]], "U")
+        return IntLattice([[0, 1], [1, 0]])
     if name == "V":
         if n < 0:
             raise ValueError("V_n needs n >= 0")
-        return IntLattice(identity(n), f"V{n}")
+        return IntLattice(identity(n))
     if name == "W":
         if n < 1:
             raise ValueError("W_n needs n >= 1")
         G = identity(n)
         G[n - 1][n - 1] = 0
-        return IntLattice(G, f"W{n}")
+        return IntLattice(G)
     raise ValueError(f"unknown lattice family {name!r}")
 
 
@@ -186,7 +150,7 @@ def radical_and_quotient(L):
     K = integer_kernel(G)
     r = len(K[0]) if K and K[0] else 0
     if r == 0:
-        return K, IntLattice(G, L.label)
+        return K, L
     S, U, V = smith_normal_form(K)
     if not all(S[i][i] == 1 for i in range(r)):
         raise AssertionError("kernel basis not saturated")
@@ -195,31 +159,7 @@ def radical_and_quotient(L):
     Q = mat_mul(transpose(comp), mat_mul(G, comp))
     if det(Q) == 0:
         raise AssertionError("quotient by the radical is degenerate")
-    return K, IntLattice(Q, L.label)
-
-
-def discriminant(L):
-    """Discriminant group and form of L (computed on L modulo its radical)."""
-    _, Lq = radical_and_quotient(L)
-    G = Lq.gram_rows()
-    n = Lq.rank
-    if n == 0:
-        return DiscriminantForm(AbelianInvariants(0, ()), (), ())
-    S, U, V = smith_normal_form(G)
-    divisors = [S[i][i] for i in range(n)]
-    idx = [i for i, d in enumerate(divisors) if d > 1]
-    Ginv = mat_inverse(G)
-    Uinv = unimodular_inverse(U)
-    # generator i of the group is the dual vector G^-1 U^-1 e_i
-    B = mat_mul(transpose(Uinv), mat_mul(Ginv, Uinv))
-    bil = tuple(
-        tuple(Fraction(B[i][j]) % 1 for j in idx) for i in idx
-    )
-    quad = tuple(Fraction(B[i][i]) % 2 for i in idx) if Lq.is_even() else None
-    inv = AbelianInvariants(0, tuple(divisors[i] for i in idx))
-    if inv.order != abs(det(G)):
-        raise AssertionError(f"discriminant group of order {inv.order} != |det|")
-    return DiscriminantForm(inv, bil, quad)
+    return K, IntLattice(Q)
 
 
 def orthogonal_complement(L, v):
@@ -233,57 +173,35 @@ def orthogonal_complement(L, v):
     return IntLattice(Gc)
 
 
-def modified_form(L, f, c):
-    """Gram'_ij = Gram_ij + c * f_i * f_j."""
-    c = Fraction(c)
-    G = L.gram_rows()
-    n = L.rank
-    if len(f) != n:
-        raise ValueError(f"functional has {len(f)} entries, rank is {n}")
-    return RatLattice(
-        [[Fraction(G[i][j]) + c * f[i] * f[j] for j in range(n)] for i in range(n)]
-    )
+def congruence_sublattice(L, f, m, d):
+    """Sublattice {x : f.x = 0 mod m} with the form Gram(L) / d restricted.
 
-
-def content(f):
-    g = 0
-    for x in f:
-        g = gcd(g, x)
-    return g
-
-
-def congruence_sublattice(L, f, m):
-    """Sublattice {x : f.x = 0 mod m} of a rational lattice, restricted form.
-
-    The restricted Gram must be integral; a non-integral result signals an
-    inconsistent (form, functional, modulus) combination.
+    L's Gram is the form scaled by the integer d, so that a form with
+    denominators stays integral.  A restricted entry that d does not
+    divide raises ValueError: the (form, functional, modulus) combination
+    is inconsistent.
     """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    if m < 1 or d < 1:
+        raise ValueError("modulus and scale must be >= 1")
     n = L.rank
     if len(f) != n:
         raise ValueError(f"functional has {len(f)} entries, rank is {n}")
     if n == 0:
-        return IntLattice([], None)
+        return IntLattice([])
     if all(x == 0 for x in f) or m == 1:
         B = identity(n)
     else:
         # solutions of f.x - m*y = 0, projected to the x coordinates
         K = integer_kernel([list(f) + [-m]])
-        B = exact.column_lattice_hnf([row for row in K[:n]])
-    idx = m // gcd(m, content(f)) if any(f) else 1
+        B = exact.column_lattice_hnf(K[:n])
+    idx = m // gcd(m, *f)
     if abs(det(B)) != idx:
         raise AssertionError(f"congruence sublattice index {abs(det(B))} != {idx}")
-    Gr = mat_mul(transpose(B), mat_mul(L.gram_rows(), B))
     G = []
-    for row in Gr:
-        out = []
-        for x in row:
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise ValueError("restricted form is not integral")
-            out.append(int(x))
-        G.append(out)
+    for row in mat_mul(transpose(B), mat_mul(L.gram_rows(), B)):
+        if any(x % d for x in row):
+            raise ValueError("restricted form is not integral")
+        G.append([x // d for x in row])
     return IntLattice(G)
 
 

@@ -17,7 +17,6 @@ tree); the whole tree is None when k = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import homology
 from .exact import cokernel_invariants, mat_mul, transpose, zeros
@@ -25,7 +24,6 @@ from .lattices import (
     IntLattice,
     congruence_sublattice,
     is_isometric,
-    modified_form,
     orthogonal_complement,
     standard_lattice,
 )
@@ -259,7 +257,7 @@ def expected_lattice(series, s):
         f = [3] * s + [1] * (s - 1)
         if len(f) == 1:
             # rank-1 ambient, complement of (3) is 0
-            return IntLattice([], "T(th1.1,s=1)")
+            return IntLattice([])
         return orthogonal_complement(standard_lattice("V", 2 * s - 1), f)
     if series == "th1.2":
         return standard_lattice("D", 2 * s - 2)
@@ -269,9 +267,11 @@ def expected_lattice(series, s):
         n = 2 * s - 2
         f = [3] * (s - 1) + [1] * (s - 1)
         if n == 0:
-            return IntLattice([], "T(th1.4,s=1)")
-        V = modified_form(standard_lattice("V", n), f, Fraction(1, 4))
-        return congruence_sublattice(V, f, 4)
+            return IntLattice([])
+        # the form I + f f^t / 4, scaled by 4 to stay integral
+        V4 = IntLattice([[4 * (i == j) + fi * fj for j, fj in enumerate(f)]
+                         for i, fi in enumerate(f)])
+        return congruence_sublattice(V4, f, 4, 4)
     raise ValueError(f"unknown series {series!r}")
 
 
@@ -288,12 +288,15 @@ def expected_fiber_names(series, s):
 
 def fiber_lattice_det(types):
     """Product of the root-lattice determinants of the fibers in `types`,
-    the per-region map that `fiber_types` returns."""
+    the per-region map that `fiber_types` returns.
+
+    A stable n-gon fiber has root lattice A_(n-1) (0 for A~0*) and the
+    others D_(n+4); det A_n = n + 1 and det D_n = 4 (Conway & Sloane,
+    SPLAG, ch. 4).
+    """
     d = 1
     for ft in types.values():
-        L = ft.root_lattice()
-        if L.rank:
-            d *= L.det()
+        d *= ft.n_gon if ft.stable else 4
     return d
 
 

@@ -23,9 +23,6 @@ XINV = ((0, -1), (1, -1))
 Y = ((0, -1), (1, 0))
 YINV = ((0, 1), (-1, 0))
 
-A_VEC = (1, 0)
-B_VEC = (0, 1)
-
 
 def gl2_mul(*ms):
     out = identity(2)
@@ -36,20 +33,6 @@ def gl2_mul(*ms):
 
 def gl2_apply(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-def symplectic(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-# the defining identities of the generators, checked once at import
-assert mat_eq(gl2_mul(X, X, X), identity(2))
-assert mat_eq(gl2_mul(Y, Y), mat_neg(identity(2)))
-assert gl2_mul(X, Y) == [(1, 1), (0, 1)]
-assert mat_eq(gl2_mul(X, XINV), identity(2))
-# X cycles (a,b) -> (c,a) -> (b,c) with c = -a-b
-assert gl2_apply(X, A_VEC) == (-1, -1)
-assert gl2_apply(X, B_VEC) == (1, 0)
 
 
 class SkeletonError(ValueError):
@@ -161,31 +144,13 @@ class Orientation:
     def __post_init__(self):
         object.__setattr__(self, "heads", tuple(self.heads))
 
-    def head_set(self):
-        return frozenset(self.heads)
-
     def is_head(self, end):
-        return end in self.head_set()
+        return end in self.heads
 
 
 def default_orientation(sk):
     """Heads at the smaller end of each edge."""
     return Orientation(tuple(a for a, _ in sk.edges))
-
-
-def reorient(sk, orientation, vertex_subset):
-    """Flip every edge with exactly one end at a vertex of the subset."""
-    vs = set(vertex_subset)
-    flipped = []
-    for (a, b), h in zip(sk.edges, orientation.heads):
-        inside = (sk.vertex_of(a) in vs) + (sk.vertex_of(b) in vs)
-        flipped.append((a + b - h) if inside == 1 else h)
-    return Orientation(tuple(flipped))
-
-
-def all_orientations(sk):
-    for heads in product(*sk.edges):
-        yield Orientation(heads)
 
 
 def orientation_classes(sk):
@@ -332,7 +297,8 @@ def genus(sk):
     e = sk.n_ends // 2
     r = len(regions(sk))
     chi = v - e + r
-    assert chi % 2 == 0
+    if chi % 2:
+        raise AssertionError(f"Euler characteristic {chi} is odd")
     return (2 - chi) // 2
 
 
@@ -357,24 +323,22 @@ class FiberType:
         return self.kind == "A"
 
     def root_lattice(self):
-        if self.kind == "A":
-            n = self.n_gon
-            return (
-                lattices.IntLattice([], "0")
-                if n == 1
-                else lattices.standard_lattice("A", n - 1)
-            )
-        return lattices.standard_lattice("D", self.n_gon + 4)
+        if self.kind == "D":
+            return lattices.standard_lattice("D", self.n_gon + 4)
+        if self.n_gon == 1:
+            return lattices.IntLattice([])
+        return lattices.standard_lattice("A", self.n_gon - 1)
 
 
 def region_sign(sk, orientation, region):
-    """+1 or -1 in the boundary monodromy +-(XY)^n; asserts the shape."""
+    """+1 or -1 in the boundary monodromy +-(XY)^n; checks the shape."""
     n = region.size
     m = monodromy(sk, orientation, region.boundary_path())
     expect = [(1, n), (0, 1)]
     if mat_eq(m, expect):
         return 1
-    assert mat_eq(m, mat_neg(expect)), f"boundary monodromy {m} not +-(XY)^n"
+    if not mat_eq(m, mat_neg(expect)):
+        raise AssertionError(f"boundary monodromy {m} not +-(XY)^n")
     return -1
 
 
@@ -390,5 +354,6 @@ def fiber_types(sk, orientation):
             out[reg] = FiberType("D", n + 4, n)
             t += 1
     k = sk.n_ends // 6
-    assert (k + t) % 2 == 0, "k + t must be even"
+    if (k + t) % 2:
+        raise AssertionError("k + t must be even")
     return out, k, t

@@ -17,13 +17,11 @@ from ellskel.pseudotrees import (
 from ellskel.skeletons import (
     Orientation,
     SkeletonError,
-    all_orientations,
     default_orientation,
     fiber_types,
-    reorient,
 )
 
-from test_skeletons import PSEUDOTREE_K1, random_skeleton
+from test_skeletons import PSEUDOTREE_K1, all_orientations, random_skeleton, reorient
 
 K1_TEXT = """\
 ends: 6
@@ -474,16 +472,22 @@ def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):
     lsk = insert_E_fiber(from_skeleton(sk, o), 2, "E8", 0)
     f = tmp_path / "e8.skel"
     f.write_text(skelfile.format_labelled(lsk))
+    gram = homology.h_gamma(lsk).gram
     h_calls = count_calls(monkeypatch, homology, "h_gamma")
     relation_calls = count_calls(monkeypatch, homology, "relation_matrix")
     kernel_calls = count_calls(
         monkeypatch, homology, "integer_kernel",
         lambda M: M and len(M[0]) == 2 * lsk.n_ends,
     )
+    # the radical: one kernel of the Gram, from either module
+    gram_calls = [count_calls(monkeypatch, module, "integer_kernel",
+                              lambda M: M == gram)
+                  for module in (homology, lattices)]
     code, out, err = run_cli(capsys, "analyze", str(f), "--json")
     assert code == 0, err
     assert json.loads(out)["kernel_cycles_span_radical"] is True
     assert (len(h_calls), len(relation_calls), len(kernel_calls)) == (1, 1, 1)
+    assert sum(map(len, gram_calls)) == 1
 
 
 def test_readme_library_example(capsys):

@@ -12,21 +12,21 @@ from ellskel.exact import (
     hermite_normal_form,
     identity,
     integer_kernel,
+    kernel_coordinates,
     mat_eq,
     mat_mul,
     smith_normal_form,
     snf_diagonal,
-    solve_columns,
     transpose,
     unimodular_inverse,
     zeros,
 )
 
+from test_homology import rank
+
 
 def naive_row_reduce(M):
     """Independent echelon oracle: gcd-based elimination, no transform tracking."""
-    import math
-
     M = [list(r) for r in M]
     m = len(M)
     n = len(M[0]) if m else 0
@@ -162,7 +162,7 @@ def test_kernel_annihilated_and_saturated():
             assert all(all(x == 0 for x in row) for row in mat_mul(M, K))
             # saturation: SNF divisors of the basis matrix are all 1
             assert all(d == 1 for d in snf_diagonal(K))
-        assert cols == n - exact.rank(M)
+        assert cols == n - rank(M)
 
 
 def test_cokernel_examples():
@@ -179,7 +179,6 @@ def test_abelian_invariants_validation():
         AbelianInvariants(0, (4, 6))
     g = AbelianInvariants(0, (2, 6))
     assert g.order == 12
-    assert g.primary_decomposition() == (2, 2, 3)
     assert AbelianInvariants(1).order is None
 
 
@@ -219,15 +218,21 @@ def test_unimodular_inverse():
         assert mat_eq(mat_mul(U, Ui), identity(n))
 
 
-def test_solve_columns():
-    A = [[1, 0], [0, 2], [3, 1]]
-    B = mat_mul(A, [[2, -1], [5, 0]])
-    X = solve_columns(A, B)
-    assert X == [[2, -1], [5, 0]]
-    with pytest.raises(ValueError):
-        solve_columns([[2]], [[3]])
-    with pytest.raises(ValueError):
-        solve_columns([[1], [0]], [[0], [1]])
+def test_kernel_coordinates():
+    rng = random.Random(29)
+    solved = 0
+    for M in differential_cases():
+        K = integer_kernel(M)
+        r = len(K[0]) if K and K[0] else 0
+        x = [rng.randint(-5, 5) for _ in range(r)]
+        assert kernel_coordinates(K, exact.mat_vec(K, x)) == x, M
+        solved += r > 0
+    assert solved > 50
+    # not an integer combination, and not in the span at all
+    with pytest.raises(ValueError, match="no integer solution"):
+        kernel_coordinates([[2]], [3])
+    with pytest.raises(ValueError, match="not in the span"):
+        kernel_coordinates([[1], [0]], [0, 1])
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -1,13 +1,26 @@
 import ast
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
-from ellskel import generalized, homology, lattices, pseudotrees
-from ellskel.exact import integer_kernel, rank, zeros
+import ellskel
+from ellskel import homology
+from ellskel.exact import (
+    AbelianInvariants,
+    det,
+    hermite_normal_form,
+    integer_kernel,
+    mat_mul,
+    shape,
+    smith_normal_form,
+    transpose,
+    unimodular_inverse,
+    zeros,
+)
 from ellskel.generalized import from_skeleton, kernel_cycles
 from ellskel.homology import (
     h_gamma,
-    h_gamma_marked,
     kernel_cycles_span_radical,
     mordell_weil,
     region_cohomology,
@@ -15,7 +28,7 @@ from ellskel.homology import (
     transcendental_lattice,
     trivalent_invariants,
 )
-from ellskel.lattices import discriminant
+from ellskel.lattices import is_isometric, radical_and_quotient
 from ellskel.skeletons import (
     X,
     Y,
@@ -31,6 +44,7 @@ from test_skeletons import (
     THETA_PLANAR,
     THETA_TORUS,
     random_skeleton,
+    reorient,
 )
 
 
@@ -72,6 +86,92 @@ def tripod_form6(sk):
         _add_block(F6, 2 * a, 2 * b, ((1, 0), (-1, 1)))
         _add_block(F6, 2 * b, 2 * a, ((1, -1), (0, 1)))
     return F6
+
+
+def h_gamma_marked(sk, kernel, marking):
+    """Gram of the marked form -sum_v s(h_m1, X h_m2) on a kernel basis.
+
+    The cross-check route for a trivalent skeleton: the kernel is the same
+    for every marking (rotating a vertex relation multiplies it by the
+    unimodular X^2), so this must equal the ambient Gram for every one.
+    The form is kept scaled by 2, with the block -S X at (m1, m2).
+    """
+    n = sk.n_ends
+    F2 = zeros(2 * n, 2 * n)
+    for v, m1 in zip(sk.vertices, marking):
+        if m1 not in v:
+            raise AssertionError(f"marking {m1} is not an end of vertex {v}")
+        m2 = sk.nx[m1]
+        _add_block(F2, 2 * m1, 2 * m2, ((1, 0), (-1, 1)))
+        _add_block(F2, 2 * m2, 2 * m1, ((1, -1), (0, 1)))
+    G = mat_mul(transpose(kernel), mat_mul(F2, kernel))
+    if any(x % 2 for row in G for x in row):
+        raise AssertionError("marked form is not integral")
+    return [[x // 2 for x in row] for row in G]
+
+
+def rank(M):
+    H, _ = hermite_normal_form(M)
+    return sum(1 for row in H if any(row))
+
+
+def mat_inverse(M):
+    """Exact inverse with Fraction entries; raises on singular input."""
+    m, n = shape(M)
+    if m != n:
+        raise ValueError("matrix is not square")
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        A[k], A[piv] = A[piv], A[k]
+        p = A[k][k]
+        A[k] = [x / p for x in A[k]]
+        for i in range(n):
+            if i != k and A[i][k] != 0:
+                c = A[i][k]
+                A[i] = [x - c * y for x, y in zip(A[i], A[k])]
+    return [row[n:] for row in A]
+
+
+@dataclass(frozen=True)
+class DiscriminantForm:
+    """The finite bilinear/quadratic form on L*/L of the nondegenerate part."""
+
+    invariants: AbelianInvariants
+    bilinear: tuple  # Fractions mod 1, pairings of the torsion generators
+    quadratic: tuple | None  # Fractions mod 2 on generators; None unless even
+
+    @property
+    def order(self):
+        return self.invariants.order
+
+
+def discriminant(L):
+    """Discriminant group and form of L (computed on L modulo its radical)."""
+    _, Lq = radical_and_quotient(L)
+    G = Lq.gram_rows()
+    n = Lq.rank
+    if n == 0:
+        return DiscriminantForm(AbelianInvariants(0, ()), (), ())
+    S, U, V = smith_normal_form(G)
+    divisors = [S[i][i] for i in range(n)]
+    idx = [i for i, d in enumerate(divisors) if d > 1]
+    Ginv = mat_inverse(G)
+    Uinv = unimodular_inverse(U)
+    # generator i of the group is the dual vector G^-1 U^-1 e_i
+    B = mat_mul(transpose(Uinv), mat_mul(Ginv, Uinv))
+    bil = tuple(
+        tuple(Fraction(B[i][j]) % 1 for j in idx) for i in idx
+    )
+    even = all(G[i][i] % 2 == 0 for i in range(n))
+    quad = tuple(Fraction(B[i][i]) % 2 for i in idx) if even else None
+    inv = AbelianInvariants(0, tuple(divisors[i] for i in idx))
+    if inv.order != abs(det(G)):
+        raise AssertionError(f"discriminant group of order {inv.order} != |det|")
+    return DiscriminantForm(inv, bil, quad)
 
 
 def hg_of(sk, o):
@@ -121,8 +221,9 @@ def test_k1_h_gamma_zero_form():
     hg = hg_of(sk, o)
     assert len(hg.kernel[0]) == 2
     assert all(x == 0 for row in hg.gram for x in row)
-    T = transcendental_lattice(hg)
+    radical, T = transcendental_lattice(hg)
     assert T.rank == 0
+    assert len(radical[0]) == 2
 
 
 def test_marked_vs_unmarked_form():
@@ -161,7 +262,8 @@ def test_kernel_cycles_k1():
     lsk = from_skeleton(sk, o)
     cycles = kernel_cycles(lsk)
     assert len(cycles) == 2
-    assert kernel_cycles_span_radical(lsk, h_gamma(lsk))
+    hg = h_gamma(lsk)
+    assert kernel_cycles_span_radical(lsk, hg, transcendental_lattice(hg)[0])
 
 
 def test_kernel_cycles_randomized():
@@ -169,7 +271,8 @@ def test_kernel_cycles_randomized():
     for _ in range(25):
         sk = random_skeleton(rng, rng.choice([2, 4]))
         lsk = from_skeleton(sk, default_orientation(sk))
-        assert kernel_cycles_span_radical(lsk, h_gamma(lsk))
+        hg = h_gamma(lsk)
+        assert kernel_cycles_span_radical(lsk, hg, transcendental_lattice(hg)[0])
 
 
 def test_region_cohomology_types():
@@ -196,8 +299,8 @@ def test_region_cohomology_types():
 
 def test_surface_invariants_k1():
     o = k1_all_A_orientation()
-    inv = surface_invariants(PSEUDOTREE_K1, fiber_types(PSEUDOTREE_K1, o),
-                             hg_of(PSEUDOTREE_K1, o))
+    hg, T, _ = trivalent_invariants(PSEUDOTREE_K1, o)
+    inv = surface_invariants(PSEUDOTREE_K1, fiber_types(PSEUDOTREE_K1, o), hg, T)
     assert (inv.k, inv.t, inv.g) == (1, 1, 0)
     assert inv.chi == 12
     assert inv.sigma_plus == 1
@@ -211,7 +314,8 @@ def test_surface_invariants_torus_theta():
     sk = THETA_TORUS
     # find an orientation with k+t even (always true) and check r with g=1
     o = default_orientation(sk)
-    inv = surface_invariants(sk, fiber_types(sk, o), hg_of(sk, o))
+    hg, T, _ = trivalent_invariants(sk, o)
+    inv = surface_invariants(sk, fiber_types(sk, o), hg, T)
     assert inv.g == 1
     assert inv.r == 1
 
@@ -222,15 +326,13 @@ def test_transcendental_lattice_positive_definite():
         sk = random_skeleton(rng, rng.choice([2, 4]))
         o = default_orientation(sk)
         hg, T, _ = trivalent_invariants(sk, o)
-        inv = surface_invariants(sk, fiber_types(sk, o), hg)
+        inv = surface_invariants(sk, fiber_types(sk, o), hg, T)
         assert T.rank == inv.rank_T
         if T.rank:
             assert T.is_positive_definite()
 
 
 def test_reorient_invariance():
-    from ellskel.skeletons import reorient
-
     rng = random.Random(67)
     for _ in range(8):
         sk = random_skeleton(rng, 2)
@@ -240,17 +342,17 @@ def test_reorient_invariance():
         for bits in range(2**nv):
             subset = [v for v in range(nv) if bits >> v & 1]
             o2 = reorient(sk, o, subset)
-            from ellskel.lattices import is_isometric
-
             _, T2, mw2 = trivalent_invariants(sk, o2)
             assert is_isometric(T0, T2)
             assert mw2 == mw0
 
 
 def test_engine_has_no_assert_statements():
-    """The engine's checks raise AssertionError explicitly, so `python -O`
-    keeps them (and the CLI's exit code 4)."""
-    for module in (homology, generalized, lattices, pseudotrees):
-        tree = ast.parse(Path(module.__file__).read_text())
+    """The package's checks raise explicitly, so `python -O` keeps them
+    (and the CLI's exit code 4)."""
+    paths = sorted(Path(ellskel.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text())
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-        assert lines == [], f"{module.__name__} asserts at lines {lines}"
+        assert lines == [], f"{path.name} asserts at lines {lines}"

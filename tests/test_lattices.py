@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,16 +8,15 @@ from ellskel import exact, lattices
 from ellskel.exact import identity, mat_eq, mat_mul, snf_diagonal, transpose
 from ellskel.lattices import (
     IntLattice,
-    RatLattice,
     congruence_sublattice,
-    discriminant,
     is_isometric,
-    modified_form,
     orthogonal_complement,
     radical_and_quotient,
     short_vectors,
     standard_lattice,
 )
+
+from test_homology import discriminant, rank
 
 
 def test_standard_lattices():
@@ -35,10 +35,9 @@ def test_standard_lattices():
 
 
 def test_gram_must_be_square_and_symmetric():
-    for cls in IntLattice, RatLattice:
-        for G in [[1, 2], [3, 4]], [[1, 0], [0]], [[1, 0]]:
-            with pytest.raises(ValueError, match="square and symmetric"):
-                cls(G)
+    for G in [[1, 2], [3, 4]], [[1, 0], [0]], [[1, 0]]:
+        with pytest.raises(ValueError, match="square and symmetric"):
+            IntLattice(G)
 
 
 def test_root_lattice_determinants():
@@ -83,8 +82,8 @@ def test_radical_quotient_randomized():
         G = mat_mul(transpose(U), mat_mul(D, U))
         K, Q = radical_and_quotient(IntLattice(G))
         rad = len(K[0]) if K and K[0] else 0
-        assert rad == n - exact.rank(G)
-        assert Q.rank == exact.rank(G)
+        assert rad == n - rank(G)
+        assert Q.rank == rank(G)
         if Q.rank:
             assert Q.det() != 0
 
@@ -142,29 +141,20 @@ def test_orthogonal_complement_saturated():
         assert all(d == 1 for d in snf_diagonal(K))
 
 
-def test_modified_form():
-    L = standard_lattice("V", 2)
-    M = modified_form(L, [3, 1], 0)
-    assert M.gram_rows() == [[1, 0], [0, 1]]
-    M = modified_form(L, [3, 1], Fraction(1, 4))
-    assert M.gram_rows() == [
-        [Fraction(13, 4), Fraction(3, 4)],
-        [Fraction(3, 4), Fraction(5, 4)],
-    ]
-
-
 def test_congruence_sublattice():
-    V2p = modified_form(standard_lattice("V", 2), [3, 1], Fraction(1, 4))
-    L = congruence_sublattice(V2p, [3, 1], 4)
+    # 4 * (I + f f^t / 4) for f = (3, 1)
+    V2p = IntLattice([[13, 3], [3, 5]])
+    L = congruence_sublattice(V2p, [3, 1], 4, 4)
     assert L.rank == 2
     assert L.is_positive_definite()
-    V2 = RatLattice(identity(2))
-    assert congruence_sublattice(V2, [0, 0], 4).gram == ((1, 0), (0, 1))
-    assert congruence_sublattice(RatLattice([]), [], 4).rank == 0
+    # {x : 3 x_1 + x_2 = 0 mod 4} has the basis (1, 1), (0, 4)
+    assert L.gram == ((6, 8), (8, 20))
+    V2 = IntLattice(identity(2))
+    assert congruence_sublattice(V2, [0, 0], 4, 1).gram == ((1, 0), (0, 1))
+    assert congruence_sublattice(IntLattice([]), [], 4, 4).rank == 0
     # non-integral restriction must be rejected
-    with pytest.raises(ValueError):
-        congruence_sublattice(modified_form(standard_lattice("V", 2), [1, 1],
-                                            Fraction(1, 4)), [1, 1], 3)
+    with pytest.raises(ValueError, match="not integral"):
+        congruence_sublattice(IntLattice([[5, 1], [1, 5]]), [1, 1], 3, 4)
 
 
 def test_congruence_index():
@@ -173,14 +163,9 @@ def test_congruence_index():
         n = rng.randint(1, 4)
         f = [rng.randint(-6, 6) for _ in range(n)]
         m = rng.randint(1, 8)
-        L = RatLattice(identity(n))
-        S = congruence_sublattice(L, f, m)
-        from math import gcd
-
-        g = 0
-        for x in f:
-            g = gcd(g, x)
-        expected = m // gcd(m, g) if g else 1
+        L = IntLattice(identity(n))
+        S = congruence_sublattice(L, f, m, 1)
+        expected = m // gcd(m, *f)
         # index = sqrt(det ratio) for the unmodified identity form
         assert S.det() == expected * expected
 

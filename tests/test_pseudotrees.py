@@ -11,6 +11,7 @@ from ellskel.pseudotrees import (
     contract,
     enumerate_marked_trees,
     expected_lattice,
+    fiber_lattice_det,
     leaf_distances,
     leaf_order,
     loose_end_count,
@@ -24,7 +25,7 @@ from ellskel.pseudotrees import (
     tree_to_skeleton,
     verify_series,
 )
-from ellskel.skeletons import Orientation, genus
+from ellskel.skeletons import Orientation, fiber_types, genus
 
 from test_skeletons import PSEUDOTREE_K1
 
@@ -132,6 +133,21 @@ def test_expected_lattice_determinants():
     assert expected_lattice("th1.4", 1).rank == 0
     assert expected_lattice("th1.2", 1).rank == 0
     assert expected_lattice("th1.3", 1).det() == 16
+
+
+def test_fiber_lattice_det_closed_form():
+    """det A_(n-1) = n and det D_(n+4) = 4 against the Bareiss determinant
+    of every fiber root lattice of every series tree up to s = 3."""
+    for series in SERIES:
+        for s in (1, 2, 3):
+            for tree in enumerate_marked_trees(series_k(series, s)):
+                sk, leaves = tree_to_skeleton(tree)
+                o = orientation_for_series(sk, leaves, series)
+                types, _, _ = fiber_types(sk, o)
+                want = 1
+                for ft in types.values():
+                    want *= ft.root_lattice().det()
+                assert fiber_lattice_det(types) == want
 
 
 @pytest.mark.parametrize("series", SERIES)

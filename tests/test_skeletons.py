@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,6 @@ from ellskel.skeletons import (
     YINV,
     X,
     Y,
-    all_orientations,
     default_orientation,
     fiber_types,
     fundamental_cycle,
@@ -25,7 +25,6 @@ from ellskel.skeletons import (
     monodromy,
     parallel_transport,
     regions,
-    reorient,
     step_matrix,
 )
 
@@ -74,10 +73,29 @@ def random_skeleton(rng, n_vertices):
         return sk
 
 
+def all_orientations(sk):
+    for heads in product(*sk.edges):
+        yield Orientation(heads)
+
+
+def reorient(sk, orientation, vertex_subset):
+    """Flip every edge with exactly one end at a vertex of the subset."""
+    vs = set(vertex_subset)
+    flipped = []
+    for (a, b), h in zip(sk.edges, orientation.heads):
+        inside = (sk.vertex_of(a) in vs) + (sk.vertex_of(b) in vs)
+        flipped.append((a + b - h) if inside == 1 else h)
+    return Orientation(tuple(flipped))
+
+
 def test_generator_identities():
     assert mat_eq(gl2_mul(X, X, X), identity(2))
     assert mat_eq(gl2_mul(Y, Y), mat_neg(identity(2)))
     assert gl2_mul(X, Y) == [(1, 1), (0, 1)]
+    assert mat_eq(gl2_mul(X, XINV), identity(2))
+    # X cycles (a, b) -> (c, a) -> (b, c) with c = -a - b
+    assert gl2_apply(X, (1, 0)) == (-1, -1)
+    assert gl2_apply(X, (0, 1)) == (1, 0)
 
 
 def test_validate():
