@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import generalized, homology, skelfile
 from .lattices import is_isometric
@@ -36,6 +37,10 @@ from .skeletons import (
 
 def _gram_list(L):
     return [list(r) for r in L.gram]
+
+
+def _transcendental(T):
+    return {"rank": T.rank, "gram": _gram_list(T), "det": T.det()}
 
 
 def _mw_dict(mw):
@@ -68,23 +73,8 @@ def analyze_skeleton(sk, orientation):
         "genus": inv.g,
         "heads": list(orientation.heads),
         "regions": region_rows,
-        "invariants": {
-            "k": inv.k,
-            "t": inv.t,
-            "g": inv.g,
-            "r": inv.r,
-            "chi": inv.chi,
-            "sigma_plus": inv.sigma_plus,
-            "sigma_minus": inv.sigma_minus,
-            "mu": inv.mu,
-            "rank_T": inv.rank_T,
-            "rank_ker": inv.rank_ker,
-        },
-        "transcendental": {
-            "rank": T.rank,
-            "gram": _gram_list(T),
-            "det": T.det() if T.rank else 1,
-        },
+        "invariants": asdict(inv),
+        "transcendental": _transcendental(T),
         "mordell_weil": _mw_dict(mw),
         "region_cohomology": cohom,
     }
@@ -109,9 +99,7 @@ def analyze_labelled(lsk):
         "labelled": True,
         "regions": rows,
         "transcendental": {
-            "rank": T.rank,
-            "gram": _gram_list(T),
-            "det": T.det() if T.rank else 1,
+            **_transcendental(T),
             "positive_definite": bool(T.rank and T.is_positive_definite()),
         },
         "mordell_weil": _mw_dict(mw),
@@ -255,11 +243,7 @@ def cmd_enumerate(args, out):
                 "tree": idx,
                 "file": skelfile.format_skeleton(sk, o),
                 "distances": list(m),
-                "transcendental": {
-                    "rank": T.rank,
-                    "gram": _gram_list(T),
-                    "det": T.det() if T.rank else 1,
-                },
+                "transcendental": _transcendental(T),
                 "mordell_weil": _mw_dict(mw),
                 "_lattice": T,
             }

@@ -13,15 +13,18 @@ Conventions:
 * ``cokernel_invariants(M)`` describes ``Z^cols / rowspan(M)``, i.e. the
   cokernel of the map sending a row vector ``x`` to ``x*M``.
 
-Both ``integer_kernel`` and ``cokernel_invariants`` first eliminate the ±1
-pivots sparsely (``_eliminate_units``) and run the dense HNF/SNF only on
-the residual; the kernel is lifted back through the pivot rows and then
-HNF-canonicalized, so its basis does not depend on the pivot order.
+A sparse matrix is a pair ``(rows, n)``: a ``{column: entry}`` dict of
+the nonzeros of each row, and the column count.  Kernels and cokernels
+first eliminate its ±1 pivots (``_eliminate_units``) and run the dense
+HNF/SNF only on the residual; the kernel is lifted back through the pivot
+rows and HNF-canonicalized, so its basis does not depend on the pivot
+order.  ``kernel_and_cokernel`` takes both from one elimination.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
@@ -64,7 +67,7 @@ class AbelianInvariants:
 def shape(M):
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    if any(len(r) != cols for r in M):
+    if rows and set(map(len, M)) != {cols}:
         raise ValueError("rows of unequal length")
     return rows, cols
 
@@ -74,7 +77,7 @@ def zeros(m, n):
 
 
 def identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
 def mat_copy(M):
@@ -128,23 +131,32 @@ def hermite_normal_form(M):
     H is in row echelon form with positive pivots; entries above each pivot
     are reduced into [0, pivot).
     """
+    return _hermite(M, identity(len(M)))
+
+
+def hermite_form(M):
+    """The H of `hermite_normal_form(M)`, without building U."""
+    return _hermite(M, [[] for _ in M])[0]
+
+
+def _hermite(M, U):
+    """(H, U) for M, every row operation on H applied to U's rows too."""
     H = mat_copy(M)
     m, n = shape(H)
-    U = identity(m)
     r = 0
     for j in range(n):
         # clear column j below row r, keeping a minimal pivot at row r; the
         # pivot row is zero left of column j, so row operations start at j
         while True:
-            piv = None
-            for i in range(r, m):
-                if H[i][j] != 0 and (piv is None or abs(H[i][j]) < abs(H[piv][j])):
-                    piv = i
-            if piv is None:
+            nz = [i for i in range(r, m) if H[i][j]]
+            if not nz:
                 break
+            piv = min(nz, key=lambda i: abs(H[i][j]))
             if piv != r:
                 H[r], H[piv] = H[piv], H[r]
                 U[r], U[piv] = U[piv], U[r]
+            if len(nz) == 1:
+                break
             done = True
             for i in range(r + 1, m):
                 if H[i][j] != 0:
@@ -263,31 +275,43 @@ def snf_diagonal(M):
     return [S[i][i] for i in range(min(m, n))]
 
 
-def _eliminate_units(M):
-    """Sparse elimination of the ±1 pivots of M, one Schur complement each.
+def sparse(M):
+    """The sparse matrix (rows, n) of a dense one."""
+    _, n = shape(M)
+    return [{j: r[j] for j in compress(range(n), r)} for r in M], n
+
+
+def sparse_transpose(rows):
+    """(rows, n) of the transpose of sparse rows; zero rows are left out."""
+    cols = defaultdict(dict)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return [cols[j] for j in sorted(cols)], len(rows)
+
+
+def _eliminate_units(rows, n):
+    """Elimination of the ±1 pivots of a sparse matrix, one Schur
+    complement each; the input rows are not changed.
 
     Works on a dict-of-rows copy with a column -> rows index.  The next
     pivot is a unit in a column with the fewest entries, on the shortest
-    such row; columns wait in a heap keyed by their entry count and are
-    pushed again whenever a pivot row changes them, so no pivot rescans
-    the matrix.
+    such row; columns wait in a heap keyed by their entry count, pushed
+    again whenever a pivot row changes them.
 
     Returns ``(pivots, rest, residual)``: the pivots in elimination order as
-    ``(column, sign, row)``, ``row`` being the pivot row as a column -> entry
-    dict when it was chosen; the surviving columns in increasing order; and
-    the dense residual on those columns, nonzero rows only.  Clearing a
-    unit's column by row operations and its row by column operations is
-    unimodular, so M is equivalent to ``diag(±1, ..., ±1) ⊕ residual``.
+    ``(column, sign, row)``, ``row`` being the rest of the pivot row, as a
+    column -> entry dict, when it was chosen; the surviving columns in
+    increasing order; and the dense residual on those columns, nonzero rows
+    only.  Clearing a unit's column by row operations and its row by column
+    operations is unimodular, so the matrix is equivalent to
+    ``diag(±1, ..., ±1) ⊕ residual``.
     """
-    _, n = shape(M)
-    rows = {}
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}
     cols = {j: set() for j in range(n)}
-    for i, r in enumerate(M):
-        row = {j: r[j] for j in compress(range(n), r)}
-        if row:
-            rows[i] = row
-            for j in row:
-                cols[j].add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
     heap = [(len(rs), j) for j, rs in cols.items()]
     heapq.heapify(heap)
     pivots = []
@@ -299,17 +323,17 @@ def _eliminate_units(M):
         units = [i for i in rs if rows[i][c] in (1, -1)]
         if not units:
             continue  # pushed again if one of its entries changes
-        p = min(units, key=lambda i: (len(rows[i]), i))
+        p = units[0] if len(units) == 1 else min(
+            units, key=lambda i: (len(rows[i]), i))
         prow = rows.pop(p)
-        s = prow[c]
+        s = prow.pop(c)
+        rs.discard(p)
         for j in prow:
             cols[j].discard(p)
         for i in cols.pop(c):
             row = rows[i]
             f = row.pop(c) * s
             for j, v in prow.items():
-                if j == c:
-                    continue
                 x = row.get(j, 0) - f * v
                 if x:
                     row[j] = x
@@ -319,26 +343,21 @@ def _eliminate_units(M):
                     cols[j].discard(i)
         pivots.append((c, s, prow))
         for j in prow:
-            if j != c:
-                heapq.heappush(heap, (len(cols[j]), j))
+            heapq.heappush(heap, (len(cols[j]), j))
     rest = sorted(cols)
     residual = [[row.get(j, 0) for j in rest] for _, row in sorted(rows.items()) if row]
     return pivots, rest, residual
 
 
-def integer_kernel(M):
-    """Columns form the canonical basis of the saturated kernel {x : Mx = 0}."""
-    m, n = shape(M)
-    if n == 0:
-        return []
-    pivots, rest, residual = _eliminate_units(M)
+def _kernel(n, pivots, rest, residual):
+    """The canonical kernel basis from an elimination of an n-column matrix."""
     if residual:
         # zero rows of H correspond to rows of U spanning the residual kernel
         H, U = hermite_normal_form(transpose(residual))
         free = [U[i] for i in range(len(rest)) if not any(H[i])]
         if free:
             # an echelon basis lifts to one that is nearly canonical already
-            free, _ = hermite_normal_form(free)
+            free = hermite_form(free)
     else:
         free = identity(len(rest))
     if not free:
@@ -348,13 +367,39 @@ def integer_kernel(M):
     for c, s, prow in reversed(pivots):
         x = [0] * len(free)
         for j, v in prow.items():
-            if j != c:
-                f = s * v
-                x = [a - f * b for a, b in zip(x, X[j])]
+            f = s * v
+            x = [a - f * b for a, b in zip(x, X[j])]
         X[c] = x
-    canon, _ = hermite_normal_form(transpose([X[j] for j in range(n)]))
-    canon = [row for row in canon if any(row)]
-    return transpose(canon)
+    canon = hermite_form(transpose([X[j] for j in range(n)]))
+    return transpose([row for row in canon if any(row)])
+
+
+def _cokernel(rest, residual):
+    nz = [d for d in snf_diagonal(residual) if d]
+    return AbelianInvariants(len(rest) - len(nz), tuple(d for d in nz if d > 1))
+
+
+def integer_kernel(M):
+    """Columns form the canonical basis of the saturated kernel {x : Mx = 0}."""
+    rows, n = sparse(M)
+    return _kernel(n, *_eliminate_units(rows, n))
+
+
+def cokernel_invariants(M):
+    """Invariants of Z^cols / rowspan(M)."""
+    return sparse_cokernel(*sparse(M))
+
+
+def sparse_cokernel(rows, n):
+    """Invariants of Z^n / the span of the sparse rows."""
+    return _cokernel(*_eliminate_units(rows, n)[1:])
+
+
+def kernel_and_cokernel(rows, n):
+    """(integer_kernel, cokernel invariants) of the sparse matrix (rows, n),
+    both from one elimination of its unit pivots."""
+    pivots, rest, residual = _eliminate_units(rows, n)
+    return _kernel(n, pivots, rest, residual), _cokernel(rest, residual)
 
 
 def kernel_coordinates(K, v):
@@ -378,30 +423,23 @@ def kernel_coordinates(K, v):
     return x
 
 
-def cokernel_invariants(M):
-    """Invariants of Z^cols / rowspan(M)."""
-    _, rest, residual = _eliminate_units(M)
-    nonzero = [d for d in snf_diagonal(residual) if d != 0]
-    return AbelianInvariants(
-        free_rank=len(rest) - len(nonzero), torsion=tuple(d for d in nonzero if d > 1)
-    )
-
-
-def det(M):
-    """Exact determinant (Bareiss fraction-free elimination)."""
+def bareiss(M):
+    """(det M, whether every leading principal minor of M is positive), by
+    one fraction-free elimination.  Without row swaps the pivot of step k
+    is the leading principal minor of order k + 1, so a swap or a pivot
+    <= 0 decides the second (Sylvester's criterion for symmetric M)."""
     m, n = shape(M)
     if m != n:
         raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
     A = mat_copy(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign = prev = 1
+    minors_positive = True
+    for k in range(n):
+        minors_positive = minors_positive and A[k][k] > 0
         if A[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
             if piv is None:
-                return 0
+                return 0, False
             A[k], A[piv] = A[piv], A[k]
             sign = -sign
         p = A[k][k]
@@ -409,9 +447,13 @@ def det(M):
             a = A[i][k]
             A[i][k + 1:] = [(x * p - a * y) // prev
                             for x, y in zip(A[i][k + 1:], A[k][k + 1:])]
-            A[i][k] = 0
         prev = p
-    return sign * A[n - 1][n - 1]
+    return sign * prev, minors_positive
+
+
+def det(M):
+    """Exact determinant (Bareiss fraction-free elimination)."""
+    return bareiss(M)[0]
 
 
 def unimodular_inverse(M):
@@ -431,7 +473,5 @@ def unimodular_inverse(M):
 
 def column_lattice_hnf(M):
     """Canonical (column-HNF) basis of the lattice spanned by the columns."""
-    H, _ = hermite_normal_form(transpose(M))
-    H = [row for row in H if any(row)]
-    return transpose(H)
+    return transpose([row for row in hermite_form(transpose(M)) if any(row)])
 

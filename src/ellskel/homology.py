@@ -20,9 +20,7 @@ trivalent input); restriction to the kernel must land in integers.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
 from math import lcm
 from typing import NamedTuple
 
@@ -32,8 +30,10 @@ from .exact import (
     cokernel_invariants,
     identity,
     integer_kernel,
+    kernel_and_cokernel,
     kernel_coordinates,
-    mat_vec,
+    sparse_cokernel,
+    sparse_transpose,
     transpose,
     zeros,
 )
@@ -48,28 +48,30 @@ _XPOW = [gl2_mul(*[X] * d) for d in range(3)]
 _NEG_SXD = [[tuple(-x for x in r) for r in gl2_mul(_S, x)] for x in _XPOW]
 
 
-def _add_block(M, r, c, blk, sign=1):
-    for i in range(2):
-        for j in range(2):
-            M[r + i][c + j] += sign * blk[i][j]
+def _add_block(rows, r, c, blk):
+    """Add blk to the sparse rows at (r, c), keeping only nonzeros."""
+    for row, b in zip(rows[r:r + 2], blk):
+        for j, x in enumerate(b, c):
+            if x:
+                row[j] = x = row.get(j, 0) + x
+                if not x:
+                    del row[j]
 
 
 def relation_matrix(lsk):
-    """Vertex relations sum X^i h_i and edge relations h_head + L h_tail."""
-    n = lsk.n_ends
-    verts = lsk.vertices
-    edges = lsk.edges
-    nrows = 2 * len(verts) + 2 * len(edges)
-    D = zeros(nrows, 2 * n)
-    for vi, v in enumerate(verts):
-        for i, alpha in enumerate(v):
-            _add_block(D, 2 * vi, 2 * alpha, _XPOW[i % 3])
-    for ei, ((a, b), h, L) in enumerate(zip(edges, lsk.heads, lsk.labels)):
-        t = a + b - h
-        r = 2 * (len(verts) + ei)
-        _add_block(D, r, 2 * h, identity(2))
-        _add_block(D, r, 2 * t, L)
-    return D
+    """Vertex relations sum X^i h_i and edge relations h_head + L h_tail,
+    as the sparse matrix (rows, 2 * ends)."""
+    D = []
+    for v in lsk.vertices:  # the ends of a vertex are distinct columns
+        for k in range(2):
+            D.append({2 * alpha + j: x for i, alpha in enumerate(v)
+                      for j, x in enumerate(_XPOW[i % 3][k]) if x})
+    for (a, b), h, L in zip(lsk.edges, lsk.heads, lsk.labels):
+        for k in range(2):
+            row = {2 * (a + b - h) + j: x for j, x in enumerate(L[k]) if x}
+            row[2 * h + k] = 1
+            D.append(row)
+    return D, 2 * lsk.n_ends
 
 
 def form_scale(lsk):
@@ -77,58 +79,49 @@ def form_scale(lsk):
 
 
 def scaled_form(lsk):
-    """scale * the weighted intersection form on the chain group."""
-    n = lsk.n_ends
+    """scale * the weighted intersection form on the chain group, as the
+    sparse matrix (rows, 2 * ends).  A vertex lists its ends in nx order,
+    so the end at depth d from v[i] is v[(i + d) % len(v)]."""
     scale = form_scale(lsk)
-    F = zeros(2 * n, 2 * n)
-    valency = {}
+    F = [{} for _ in range(2 * lsk.n_ends)]
     for v in lsk.vertices:
-        for alpha in v:
-            valency[alpha] = len(v)
-    for alpha in range(n):
-        nv = valency[alpha]
-        beta = alpha
+        nv = len(v)
         for d in range(1, nv - 1):
-            beta = lsk.nx[beta]
             w, rest = divmod((scale // 2) * (nv - d - 1), nv)
             if rest:
                 raise AssertionError(f"form weight at depth {d} is not integral")
             if w == 0:
                 continue
-            blk = _NEG_SXD[d % 3]
-            _add_block(F, 2 * alpha, 2 * beta, [[w * x for x in r] for r in blk])
-            _add_block(
-                F, 2 * beta, 2 * alpha,
-                [[w * blk[j][i] for j in range(2)] for i in range(2)],
-            )
-    return F
+            blk = [[w * x for x in r] for r in _NEG_SXD[d % 3]]
+            blk_t = list(zip(*blk))
+            for i, alpha in enumerate(v):
+                beta = v[(i + d) % nv]
+                _add_block(F, 2 * alpha, 2 * beta, blk)
+                _add_block(F, 2 * beta, 2 * alpha, blk_t)
+    return F, 2 * lsk.n_ends
 
 
 def _restrict_scaled_form(K, F, scale):
-    """K^t F K / scale for a basis K (columns), summed over the nonzeros."""
+    """K^t F K / scale for a basis K (columns) and the sparse rows F,
+    summed over the nonzeros."""
     d = len(K[0]) if K else 0
     Ks = [[(b, y) for b, y in enumerate(r) if y] for r in K]
     G = [[0] * d for _ in range(d)]
     for ki, row in zip(Ks, F):
         if not ki:
             continue
-        fk = defaultdict(int)  # row i of F*K
-        for j in compress(range(len(row)), row):
-            f = row[j]
+        fk = [0] * d  # row i of F*K
+        for j, f in row.items():
             for b, y in Ks[j]:
                 fk[b] += f * y
+        fk = [(b, y) for b, y in enumerate(fk) if y]
         for a, x in ki:
             g = G[a]
-            for b, y in fk.items():
+            for b, y in fk:
                 g[b] += x * y
-    out = []
-    for row in G:
-        r = []
-        for x in row:
-            if x % scale != 0:
-                raise AssertionError("restricted form is not integral")
-            r.append(x // scale)
-        out.append(r)
+    if any(x % scale for row in G for x in row):
+        raise AssertionError("restricted form is not integral")
+    out = [[x // scale for x in row] for row in G]
     if any(out[i][j] != out[j][i] for i in range(d) for j in range(i)):
         raise AssertionError("restricted form is not symmetric")
     return out
@@ -137,16 +130,19 @@ def _restrict_scaled_form(K, F, scale):
 class HGamma(NamedTuple):
     """What one analysis builds once and every invariant reads."""
 
-    relations: list  # rows of the relation matrix
+    relations: list  # sparse rows of the relation matrix
     kernel: list  # basis of its kernel H_Gamma, as columns
     gram: list  # the intersection form on that basis
+    torsion: tuple  # torsion of its cokernel, from the same elimination
 
 
 def h_gamma(lsk):
-    """The relation matrix, its kernel basis and the Gram matrix on it."""
-    D = relation_matrix(lsk)
-    K = integer_kernel(D)
-    return HGamma(D, K, _restrict_scaled_form(K, scaled_form(lsk), form_scale(lsk)))
+    """The relation matrix, its kernel basis, the Gram matrix on it and the
+    cokernel torsion; the kernel and cokernel come from one elimination."""
+    D, n = relation_matrix(lsk)
+    K, coker = kernel_and_cokernel(D, n)
+    gram = _restrict_scaled_form(K, scaled_form(lsk)[0], form_scale(lsk))
+    return HGamma(D, K, gram, coker.torsion)
 
 
 def transcendental_lattice(hg):
@@ -155,13 +151,12 @@ def transcendental_lattice(hg):
 
 
 def mordell_weil(hg):
-    """Torsion of the cokernel of the relation matrix, by two routes."""
-    D = hg.relations
-    t1 = cokernel_invariants(D).torsion
-    t2 = cokernel_invariants(transpose(D)).torsion
-    if t1 != t2:
-        raise AssertionError(f"cokernel routes disagree: {t1} vs {t2}")
-    return AbelianInvariants(0, t1)
+    """Torsion of the cokernel of the relation matrix D, by two routes: the
+    elimination of D in `h_gamma` and a separate one of its transpose."""
+    t2 = sparse_cokernel(*sparse_transpose(hg.relations)).torsion
+    if hg.torsion != t2:
+        raise AssertionError(f"cokernel routes disagree: {hg.torsion} vs {t2}")
+    return AbelianInvariants(0, hg.torsion)
 
 
 def trivalent_invariants(sk, orientation):
@@ -197,7 +192,7 @@ def kernel_cycles_span_radical(lsk, hg, radical):
     if not cycles:
         return not (radical and radical[0])
     for c in cycles:
-        if any(mat_vec(hg.relations, c)):
+        if any(sum(v * c[j] for j, v in row.items()) for row in hg.relations):
             raise AssertionError("cycle does not satisfy the relations")
     coords = [kernel_coordinates(hg.kernel, c) for c in cycles]
     return saturate_columns(transpose(coords)) == radical
@@ -214,24 +209,20 @@ def region_cohomology(sk, orientation, region):
     n = region.size
     path = region.boundary_path()
     seq = path.ends(sk)
-    steps = [
-        skeletons.step_matrix(sk, orientation, s, a)
-        for s, a in zip(path.word, seq)
-    ]
+    steps = [skeletons.step_matrix(sk, orientation, s, a)
+             for s, a in zip(path.word, seq)]
     N = 2 * n  # boundary positions
-    R = zeros(2 * N, 2 * N)
+    R = [{} for _ in range(2 * N)]
     for i in range(N):
         m = steps[i]  # transport from position i to position i+1 (mod N)
         j = (i + 1) % N
         # relation row for covector e_c: e_c at position j minus m^t e_c at
         # position i; the coefficient of generator (i, c') is -m[c][c']
         _add_block(R, 2 * i, 2 * j, ((1, 0), (0, 1)))
-        _add_block(R, 2 * i, 2 * i, m, sign=-1)
-    inv = cokernel_invariants(R)
+        _add_block(R, 2 * i, 2 * i, [[-x for x in r] for r in m])
+    inv = sparse_cokernel(R, 2 * N)
     M = monodromy(sk, orientation, path)
-    Mt_minus_id = [
-        [M[j][i] - (1 if i == j else 0) for j in range(2)] for i in range(2)
-    ]
+    Mt_minus_id = [[M[j][i] - (i == j) for j in range(2)] for i in range(2)]
     side = cokernel_invariants(Mt_minus_id)
     if inv.torsion != side.torsion:
         raise AssertionError(f"region cohomology {inv} differs from {side}")

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from operator import mul
 
 from . import exact
 from .exact import (
+    bareiss,
     det,
     identity,
     integer_kernel,
@@ -36,6 +37,9 @@ def _check_gram(g):
 
 @dataclass(frozen=True)
 class IntLattice:
+    """Equality and hashing read the Gram matrix only; the determinant and
+    the definiteness are computed once, on first use, and kept."""
+
     gram: tuple  # tuple of row tuples, symmetric integer matrix
 
     def __post_init__(self):
@@ -49,39 +53,21 @@ class IntLattice:
     def gram_rows(self):
         return [list(r) for r in self.gram]
 
+    @cached_property
+    def _bareiss(self):
+        return bareiss(self.gram)
+
     def det(self):
-        return det(self.gram_rows())
+        return self._bareiss[0]
 
     def is_positive_definite(self):
-        """Sylvester's criterion in one Bareiss pass without row swaps.
-
-        After step k the pivot A[k][k] is the leading principal minor of
-        order k + 1, so the first pivot <= 0 decides.
-        """
-        A = self.gram_rows()
-        n = self.rank
-        prev = 1
-        for k in range(n):
-            p = A[k][k]
-            if p <= 0:
-                return False
-            for i in range(k + 1, n):
-                a = A[i][k]
-                A[i][k + 1:] = [(x * p - a * y) // prev
-                                for x, y in zip(A[i][k + 1:], A[k][k + 1:])]
-            prev = p
-        return True
+        """Sylvester's criterion, from the pass that gives the det."""
+        return self._bareiss[1]
 
     def direct_sum(self, other):
         n, m = self.rank, other.rank
-        G = zeros(n + m, n + m)
-        for i in range(n):
-            for j in range(n):
-                G[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                G[n + i][n + j] = other.gram[i][j]
-        return IntLattice(G)
+        return IntLattice([list(r) + [0] * m for r in self.gram]
+                          + [[0] * n + list(r) for r in other.gram])
 
 
 def standard_lattice(name, n):
@@ -143,23 +129,24 @@ def radical_and_quotient(L):
     """Split L as radical + complement; returns (radical basis cols, quotient).
 
     The quotient Gram is the form restricted to a saturated complement of
-    the radical, hence nondegenerate.
+    the radical, hence nondegenerate.  A nondegenerate L is returned at
+    once, as its own quotient.
     """
-    G = L.gram_rows()
     n = L.rank
+    if L.det():
+        return [[] for _ in range(n)], L
+    G = L.gram_rows()
     K = integer_kernel(G)
-    r = len(K[0]) if K and K[0] else 0
-    if r == 0:
-        return K, L
+    r = len(K[0])
     S, U, V = smith_normal_form(K)
     if not all(S[i][i] == 1 for i in range(r)):
         raise AssertionError("kernel basis not saturated")
     Uinv = unimodular_inverse(U)
     comp = [[Uinv[i][j] for j in range(r, n)] for i in range(n)]
-    Q = mat_mul(transpose(comp), mat_mul(G, comp))
-    if det(Q) == 0:
+    Q = IntLattice(mat_mul(transpose(comp), mat_mul(G, comp)))
+    if Q.det() == 0:
         raise AssertionError("quotient by the radical is degenerate")
-    return K, IntLattice(Q)
+    return K, Q
 
 
 def orthogonal_complement(L, v):
@@ -332,9 +319,7 @@ class _Quotient:
         K, Q = radical_and_quotient(L)
         self.radical_rank = len(K[0]) if K and K[0] else 0
         self.quotient = Q
-        self.det = Q.det()
-        self.definite = Q.is_positive_definite()
-        if self.definite:
+        if Q.is_positive_definite():
             self.reduced, self.transform = lll_reduce(Q.gram_rows())
         self.bound = 0
         self.by_norm = {}
@@ -368,18 +353,19 @@ def is_isometric(L1, L2, witness=False):
     nondegenerate quotients; otherwise just the flag.
     """
     A, B = _Quotient(L1), _target(L2)
+    Q1, Q2 = A.quotient, B.quotient
 
     def result(flag, U=None):
         return (flag, U) if witness else flag
 
-    n = A.quotient.rank
-    if A.radical_rank != B.radical_rank or n != B.quotient.rank:
+    n = Q1.rank
+    if A.radical_rank != B.radical_rank or n != Q2.rank:
         return result(False)
     if n == 0:
         return result(True, identity(0))
-    if A.det != B.det:
+    if Q1.det() != Q2.det():
         return result(False)
-    if not (A.definite and B.definite):
+    if not (Q1.is_positive_definite() and Q2.is_positive_definite()):
         raise ValueError("isometry testing supports definite lattices only")
     G1 = A.reduced
     by_norm = B.vectors(max(G1[i][i] for i in range(n)))
@@ -400,8 +386,7 @@ def is_isometric(L1, L2, witness=False):
     # G1 = W^t G2 W on the reduced bases, with Gi = Ti^t Qi Ti
     W = transpose(cols)
     U = mat_mul(B.transform, mat_mul(W, unimodular_inverse(A.transform)))
-    G2 = B.quotient.gram_rows()
-    if not mat_eq(mat_mul(transpose(U), mat_mul(G2, U)), A.quotient.gram_rows()):
+    if not mat_eq(mat_mul(transpose(U), mat_mul(Q2.gram_rows(), U)), Q1.gram_rows()):
         raise AssertionError("isometry witness fails U^t G2 U = G1")
     if det(U) not in (1, -1):
         raise AssertionError(f"isometry witness has det {det(U)}, not +-1")

@@ -331,7 +331,7 @@ def verify_series(series, s):
             raise AssertionError(f"{series} s={s} tree {idx}: fibers {names}")
         _, T, mw = homology.trivalent_invariants(sk, o)
         lattice_ok = is_isometric(T, expect)
-        det_T = T.det() if T.rank else 1
+        det_T = T.det()
         det_S = fiber_lattice_det(types)
         index_sq, order = det_S // det_T, 1
         while order * order < index_sq:

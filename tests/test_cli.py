@@ -1,10 +1,11 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ellskel import cli, homology, lattices, pseudotrees, skelfile, skeletons
+from ellskel import cli, exact, homology, lattices, pseudotrees, skelfile, skeletons
 from ellskel.cli import main, orientation_sweep
 from ellskel.generalized import from_skeleton, insert_E_fiber
 from ellskel.pseudotrees import (
@@ -199,15 +200,21 @@ def test_duplicate_label_exit_2(tmp_path, capsys):
     assert lsk.labels[1] == lsk.labels[2] == ((1, 1), (0, 1))
 
 
-def test_analyze_chain_k64(tmp_path, capsys, monkeypatch):
-    """The k = 64 loop-decorated chain tree, th1.1 orientation, end to end."""
+def chain_file(tmp_path, k):
+    """The loop-decorated chain tree with k leaves, th1.1 orientation."""
     tree = None
-    for _ in range(63):
+    for _ in range(k - 1):
         tree = (None, tree)
     sk, leaves = tree_to_skeleton(tree)
     o = orientation_for_series(sk, leaves, "th1.1")
-    f = tmp_path / "chain64.skel"
+    f = tmp_path / f"chain{k}.skel"
     f.write_text(skelfile.format_skeleton(sk, o))
+    return f
+
+
+def test_analyze_chain_k64(tmp_path, capsys, monkeypatch):
+    """The k = 64 loop-decorated chain tree, th1.1 orientation, end to end."""
+    f = chain_file(tmp_path, 64)
     # the side route of each region's check is Coker(M^t - id) on a 2x2
     side_checks = []
     cokernel = homology.cokernel_invariants
@@ -227,6 +234,16 @@ def test_analyze_chain_k64(tmp_path, capsys, monkeypatch):
     n_regions = doc["invariants"]["r"]
     assert len(doc["regions"]) == len(doc["region_cohomology"]) == n_regions
     assert len(side_checks) == n_regions
+
+
+@pytest.mark.slow
+def test_analyze_chain_k128(tmp_path, capsys):
+    """The k = 128 chain tree, end to end; no time bound."""
+    code, out, err = run_cli(capsys, "analyze", str(chain_file(tmp_path, 128)), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["invariants"]["k"] == 128
+    assert doc["invariants"]["rank_T"] == doc["transcendental"]["rank"]
 
 
 def test_analyze_missing_file_exit_2(capsys):
@@ -476,8 +493,8 @@ def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):
     h_calls = count_calls(monkeypatch, homology, "h_gamma")
     relation_calls = count_calls(monkeypatch, homology, "relation_matrix")
     kernel_calls = count_calls(
-        monkeypatch, homology, "integer_kernel",
-        lambda M: M and len(M[0]) == 2 * lsk.n_ends,
+        monkeypatch, homology, "kernel_and_cokernel",
+        lambda rows, n: n == 2 * lsk.n_ends,
     )
     # the radical: one kernel of the Gram, from either module
     gram_calls = [count_calls(monkeypatch, module, "integer_kernel",
@@ -488,6 +505,62 @@ def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["kernel_cycles_span_radical"] is True
     assert (len(h_calls), len(relation_calls), len(kernel_calls)) == (1, 1, 1)
     assert sum(map(len, gram_calls)) == 1
+
+
+def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):
+    """Each trivalent analysis, sweep class and series tree eliminates its
+    relation matrix D once (kernel and first cokernel route) and D^t once
+    (second route), and is_isometric takes no kernel of its lattices."""
+    shapes = []  # (rows, columns) of every relation matrix built
+    build = homology.relation_matrix
+
+    def spy_build(lsk):
+        D, n = build(lsk)
+        shapes.append((len(D), n))
+        return D, n
+
+    monkeypatch.setattr(homology, "relation_matrix", spy_build)
+    eliminations = count_calls(monkeypatch, exact, "_eliminate_units")
+    inside = []
+    iso_kernels = count_calls(monkeypatch, lattices, "integer_kernel",
+                              lambda M: bool(inside))
+    for module in (cli, pseudotrees):
+        isometric = module.is_isometric
+
+        def spy_isometric(*args, isometric=isometric):
+            inside.append(True)
+            try:
+                return isometric(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, "is_isometric", spy_isometric)
+
+    def run(*argv):
+        shapes.clear()
+        eliminations.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        expected = Counter(shapes) + Counter((n, m) for m, n in shapes)
+        seen = Counter((len(rows), n) for rows, n in eliminations
+                       if (len(rows), n) in expected)
+        assert seen == expected
+        return json.loads(out)
+
+    rng = random.Random(14)
+    for n_vertices in (2, 4, 6):
+        sk = random_skeleton(rng, n_vertices)
+        f = tmp_path / "sk.skel"
+        f.write_text(skelfile.format_skeleton(sk, default_orientation(sk)))
+        run("analyze", str(f), "--json")
+        assert len(shapes) == 1
+        doc = run("analyze", str(f), "--json", "--orientation-sweep")
+        assert len(shapes) == 1 + len(doc["orientation_sweep"])
+    run("verify-series", "all", "--s-max", "2", "--json")
+    assert len(shapes) == 18
+    run("enumerate", "4", "--dedup", "--json")
+    assert len(shapes) == 5
+    assert iso_kernels == []
 
 
 def test_readme_library_example(capsys):

@@ -379,13 +379,62 @@ def test_eliminate_units_residual():
             for j in range(i + 1, n):
                 U[i][j] = rng.randint(-4, 4)
         rng.shuffle(U)
-        pivots, rest, residual = exact._eliminate_units(U)
+        pivots, rest, residual = exact._eliminate_units(*exact.sparse(U))
         assert len(pivots) == n and rest == [] and residual == []
     # no unit anywhere: nothing is eliminated
     M = [[2, 4], [6, 3]]
-    pivots, rest, residual = exact._eliminate_units(M)
+    pivots, rest, residual = exact._eliminate_units(*exact.sparse(M))
     assert pivots == [] and rest == [0, 1] and residual == M
     # the residual keeps only the surviving columns, in order
-    pivots, rest, residual = exact._eliminate_units([[1, 2, 4], [3, 6, 10]])
+    pivots, rest, residual = exact._eliminate_units(
+        *exact.sparse([[1, 2, 4], [3, 6, 10]]))
     assert [c for c, _, _ in pivots] == [0] and rest == [1, 2]
     assert residual == [[0, -2]]
+
+
+def is_hermite(H):
+    """Row echelon with positive pivots, each column reduced into
+    [0, pivot) above its pivot."""
+    last = -1
+    for i, row in enumerate(H):
+        nz = [j for j, x in enumerate(row) if x]
+        if not nz:
+            if any(any(r) for r in H[i:]):
+                return False
+            break
+        j = nz[0]
+        if j <= last or row[j] <= 0:
+            return False
+        if not all(0 <= H[k][j] < row[j] for k in range(i)):
+            return False
+        last = j
+    return True
+
+
+def test_hnf_differential():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    def lattice(rows, n):  # sympy's column HNF of the span of the rows
+        return sympy_hnf(sympy.Matrix(n, len(rows), [x for c in zip(*rows) for x in c])
+                         if rows else sympy.zeros(n, 0))
+
+    for M in differential_cases():
+        m, n = exact.shape(M)
+        H, U = hermite_normal_form(M)
+        assert mat_mul(U, M) == H and det(U) in (1, -1), M
+        assert is_hermite(H), M
+        assert exact.hermite_form(M) == H, M
+        # sympy's echelon convention differs: compare the row lattices
+        assert lattice(M, n) == lattice(H, n), M
+
+
+def test_det_differential():
+    sympy = pytest.importorskip("sympy")
+    for M in differential_cases():
+        k = min(exact.shape(M))
+        A = [row[:k] for row in M[:k]]
+        S = sympy.Matrix(k, k, [x for row in A for x in row])
+        minors = [S[:i, :i].det() for i in range(1, k + 1)]
+        assert det(A) == S.det(), A
+        assert exact.bareiss(A) == (S.det(), all(x > 0 for x in minors)), A

@@ -16,6 +16,7 @@ from ellskel.lattices import (
     standard_lattice,
 )
 
+from test_exact import dense_integer_kernel
 from test_homology import discriminant, rank
 
 
@@ -128,17 +129,40 @@ def test_orthogonal_complement():
         orthogonal_complement(L, [0, 0, 0])
 
 
+def complement_matches(G, v, C):
+    """C is the Gram K^t G K of the canonical saturated basis K of
+    {x : v^t G x = 0}, of rank n - 1; K comes from the dense kernel oracle,
+    not from the sparse engine."""
+    n = len(G)
+    w = exact.mat_vec(G, v)
+    K = dense_integer_kernel([w])
+    if len(K[0]) != n - 1 or any(exact.mat_vec([w], col)[0] for col in transpose(K)):
+        raise AssertionError(f"oracle kernel of {w} is wrong")
+    if snf_diagonal(K) != [1] * (n - 1):
+        raise AssertionError(f"oracle kernel of {w} is not saturated")
+    return len(C) == n - 1 and [list(r) for r in C] == congruent(G, K)
+
+
 def test_orthogonal_complement_saturated():
     rng = random.Random(9)
     for _ in range(40):
         n = rng.randint(2, 5)
-        L = IntLattice(identity(n))
+        # a seeded positive definite Gram, A^t A + I, never the identity
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        A[0][n - 1] = A[0][n - 1] or 1
+        G = [[x + (i == j) for j, x in enumerate(r)]
+             for i, r in enumerate(mat_mul(transpose(A), A))]
+        assert G != identity(n) and IntLattice(G).is_positive_definite()
         v = [rng.randint(-4, 4) for _ in range(n)]
         if not any(v):
             v[0] = 1
-        w = v[:]  # functional equals vector for the identity form
-        K = exact.integer_kernel([w])
-        assert all(d == 1 for d in snf_diagonal(K))
+        C = orthogonal_complement(IntLattice(G), v)
+        assert C.rank == n - 1
+        assert complement_matches(G, v, C.gram)
+        # the doubled basis 2K spans a non-saturated sublattice: its Gram
+        # 4 K^t G K is rejected
+        doubled = [[4 * x for x in r] for r in C.gram]
+        assert not complement_matches(G, v, doubled)
 
 
 def test_congruence_sublattice():
@@ -318,6 +342,28 @@ def test_lll_reduce_property():
     for G in [[0]], [[-3]], [[-1, 0], [0, -1]], [[1, 2], [2, 1]]:
         with pytest.raises(ValueError):
             lattices.lll_reduce(G)
+
+
+def test_cached_invariants_stay_out_of_equality():
+    G = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    L = IntLattice(G)
+    assert (L.det(), L.is_positive_definite()) == (18, True)
+    fresh = IntLattice(G)
+    assert L == fresh and hash(L) == hash(fresh) and repr(L) == repr(fresh)
+    assert fresh != IntLattice([[2, 1, 0], [1, 3, 1], [0, 1, 5]])
+    # the determinant and the definiteness come from one pass
+    assert exact.bareiss(G) == (18, True)
+    assert exact.bareiss([[0, 1], [1, 0]]) == (-1, False)
+    assert exact.bareiss([[1, 2], [2, 1]]) == (-3, False)
+    assert exact.bareiss([]) == (1, True)
+    # a second query against an equal target hits _target's cache
+    lattices._target.cache_clear()
+    assert is_isometric(IntLattice(G), fresh)
+    info = lattices._target.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    assert is_isometric(fresh, L)
+    info = lattices._target.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_isometry_target_reuse(monkeypatch):
