@@ -15,7 +15,7 @@ the regions whose monodromy fixes a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .exact import identity, integer_kernel, mat_mul
@@ -194,9 +194,13 @@ def step_matrix(lsk, step, end_from):
         # nx steps only make sense between consecutive ends of one vertex
         raise ValueError("labelled paths use op and nx' steps only")
     L, head = lsk.label_at(end_from)
-    arrive = lsk.op[end_from]
-    neg = lambda m: tuple(tuple(-x for x in r) for r in m)
-    return neg(L) if arrive == head else neg(inv2(L))
+    return _transport(L, lsk.op[end_from] == head)
+
+
+@lru_cache(maxsize=256)
+def _transport(L, to_head):
+    """-L onto the head of an edge labelled L, -L^-1 onto its tail."""
+    return tuple(tuple(-x for x in r) for r in (L if to_head else inv2(L)))
 
 
 def region_monodromy(lsk, cycle):

@@ -1,13 +1,20 @@
 """The homology engine of labelled skeletons.
 
-The chain group is C = ⊕_α H, one rank-2 summand per edge-end (end α
-occupies coordinates 2α, 2α+1).  Relations: one vertex relation
-sum_i X^i h_i = 0 per vertex, its ends taken in nx order from the
-smallest, and one edge relation h_head + L h_tail = 0 per edge.  The
-kernel H_Gamma of the relation matrix carries the weighted intersection
-form, whose coefficient at depth d from an n-valent vertex is (n-d-1)/n;
-it yields the transcendental lattice (quotient by the radical), and the
-cokernel of the relation matrix yields the Mordell-Weil torsion.
+Relations: one vertex relation sum_i X^i h_i = 0 per vertex, its ends
+taken in nx order from the smallest, on a value h_α in H per edge-end α,
+and one edge relation h_head + L h_tail = 0 per edge.  The edge relations
+are solved when the matrices are built: the chain group is C = ⊕_e H,
+one rank-2 summand per edge (coordinates 2e, 2e+1) holding u_e, the value
+at its smaller end; the other end carries M u_e, M = -L at a head and
+-L⁻¹ at a tail.  D is the vertex rows, each end contributing X^i M, and
+the form is Φ^t F Φ, where Φ maps edge values to end values.  The larger
+ends' columns are fixed by columns to their left, so they hold no Hermite
+pivot: the canonical kernel on end values is Φ times that of D, with the
+same Gram, and the edge rows are unimodular block pivots, so the
+cokernel is the same.  The kernel H_Gamma carries the weighted
+intersection form, whose coefficient at depth d from an n-valent vertex
+is (n-d-1)/n; it yields the transcendental lattice (quotient by the
+radical), and the cokernel of D yields the Mordell-Weil torsion.
 
 A plain oriented trivalent skeleton enters as the all-Y labelled skeleton
 `generalized.from_skeleton(sk, o)`, where the vertex relation is the
@@ -21,6 +28,7 @@ trivalent input); restriction to the kernel must land in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -37,14 +45,15 @@ from .exact import (
     transpose,
     zeros,
 )
-from .generalized import from_skeleton, kernel_cycles
+from .generalized import _transport, from_skeleton, kernel_cycles
 from .lattices import IntLattice, radical_and_quotient
-from .skeletons import X, genus, gl2_mul, monodromy, regions
+from .skeletons import X, genus, gl2_apply, gl2_mul, monodromy, regions
 
 # X^d and the polarized form's block -S X^d for d mod 3, where S is the
 # symplectic Gram (a.b = 1)
 _S = ((0, 1), (-1, 0))
-_XPOW = [gl2_mul(*[X] * d) for d in range(3)]
+_I = ((1, 0), (0, 1))
+_XPOW = [tuple(gl2_mul(*[X] * d)) for d in range(3)]
 _NEG_SXD = [[tuple(-x for x in r) for r in gl2_mul(_S, x)] for x in _XPOW]
 
 
@@ -58,20 +67,34 @@ def _add_block(rows, r, c, blk):
                     del row[j]
 
 
+@lru_cache(maxsize=1024)
+def _block(A, B, C=_I):
+    """The 2x2 product A B C."""
+    return tuple(gl2_mul(A, B, C))
+
+
+def _end_maps(lsk):
+    """(e, M) per end: the end carries M u_e, where u_e is the value at the
+    smaller end of its edge e (M = I there)."""
+    out = [None] * lsk.n_ends
+    for e, ((a, b), h, L) in enumerate(zip(lsk.edges, lsk.heads, lsk.labels)):
+        out[a] = (e, _I)
+        out[b] = (e, _transport(L, b == h))
+    return out
+
+
 def relation_matrix(lsk):
-    """Vertex relations sum X^i h_i and edge relations h_head + L h_tail,
-    as the sparse matrix (rows, 2 * ends)."""
+    """The vertex relations sum X^i h_i in edge values, as the sparse matrix
+    (rows, 2 * edges)."""
+    ends = _end_maps(lsk)
     D = []
-    for v in lsk.vertices:  # the ends of a vertex are distinct columns
-        for k in range(2):
-            D.append({2 * alpha + j: x for i, alpha in enumerate(v)
-                      for j, x in enumerate(_XPOW[i % 3][k]) if x})
-    for (a, b), h, L in zip(lsk.edges, lsk.heads, lsk.labels):
-        for k in range(2):
-            row = {2 * (a + b - h) + j: x for j, x in enumerate(L[k]) if x}
-            row[2 * h + k] = 1
-            D.append(row)
-    return D, 2 * lsk.n_ends
+    for v in lsk.vertices:
+        rows = [{}, {}]
+        for i, alpha in enumerate(v):
+            e, M = ends[alpha]
+            _add_block(rows, 0, 2 * e, _block(_XPOW[i % 3], M))
+        D += rows
+    return D, 2 * len(lsk.edges)
 
 
 def form_scale(lsk):
@@ -79,11 +102,13 @@ def form_scale(lsk):
 
 
 def scaled_form(lsk):
-    """scale * the weighted intersection form on the chain group, as the
-    sparse matrix (rows, 2 * ends).  A vertex lists its ends in nx order,
-    so the end at depth d from v[i] is v[(i + d) % len(v)]."""
+    """scale * the weighted intersection form Φ^t F Φ on the chain group, as
+    the sparse matrix (rows, 2 * edges).  A vertex lists its ends in nx
+    order, so the end at depth d from v[i] is v[(i + d) % len(v)]; the pair
+    adds M_a^t (-w S X^d) M_b to the block of their edges."""
     scale = form_scale(lsk)
-    F = [{} for _ in range(2 * lsk.n_ends)]
+    ends = _end_maps(lsk)
+    F = [{} for _ in range(2 * len(lsk.edges))]
     for v in lsk.vertices:
         nv = len(v)
         for d in range(1, nv - 1):
@@ -92,13 +117,13 @@ def scaled_form(lsk):
                 raise AssertionError(f"form weight at depth {d} is not integral")
             if w == 0:
                 continue
-            blk = [[w * x for x in r] for r in _NEG_SXD[d % 3]]
-            blk_t = list(zip(*blk))
+            blk = tuple(tuple(w * x for x in r) for r in _NEG_SXD[d % 3])
             for i, alpha in enumerate(v):
-                beta = v[(i + d) % nv]
-                _add_block(F, 2 * alpha, 2 * beta, blk)
-                _add_block(F, 2 * beta, 2 * alpha, blk_t)
-    return F, 2 * lsk.n_ends
+                (ea, Ma), (eb, Mb) = ends[alpha], ends[v[(i + d) % nv]]
+                b = _block(tuple(zip(*Ma)), blk, Mb)
+                _add_block(F, 2 * ea, 2 * eb, b)
+                _add_block(F, 2 * eb, 2 * ea, tuple(zip(*b)))
+    return F, 2 * len(lsk.edges)
 
 
 def _restrict_scaled_form(K, F, scale):
@@ -191,10 +216,15 @@ def kernel_cycles_span_radical(lsk, hg, radical):
     cycles = kernel_cycles(lsk)
     if not cycles:
         return not (radical and radical[0])
-    for c in cycles:
-        if any(sum(v * c[j] for j, v in row.items()) for row in hg.relations):
+    ends = _end_maps(lsk)
+    coords = []
+    for c in cycles:  # end values; an edge's value is its smaller end's
+        h = [tuple(c[2 * a:2 * a + 2]) for a in range(lsk.n_ends)]
+        u = [x for a, _ in lsk.edges for x in h[a]]
+        if (any(gl2_apply(ends[b][1], h[a]) != h[b] for a, b in lsk.edges)
+                or any(sum(v * u[j] for j, v in row.items()) for row in hg.relations)):
             raise AssertionError("cycle does not satisfy the relations")
-    coords = [kernel_coordinates(hg.kernel, c) for c in cycles]
+        coords.append(kernel_coordinates(hg.kernel, u))
     return saturate_columns(transpose(coords)) == radical
 
 

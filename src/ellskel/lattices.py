@@ -8,9 +8,8 @@ are handled by splitting off the radical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import exact
@@ -142,8 +141,10 @@ def radical_and_quotient(L):
     if not all(S[i][i] == 1 for i in range(r)):
         raise AssertionError("kernel basis not saturated")
     Uinv = unimodular_inverse(U)
-    comp = [[Uinv[i][j] for j in range(r, n)] for i in range(n)]
-    Q = IntLattice(mat_mul(transpose(comp), mat_mul(G, comp)))
+    # comp^t G comp over the nonzeros of comp, the last n - r columns of U^-1
+    comp = [[(i, Uinv[i][j]) for i in range(n) if Uinv[i][j]] for j in range(r, n)]
+    Gc = [[sum(x * G[i][k] for i, x in c) for k in range(n)] for c in comp]
+    Q = IntLattice([[sum(x * gc[i] for i, x in c) for gc in Gc] for c in comp])
     if Q.det() == 0:
         raise AssertionError("quotient by the radical is degenerate")
     return K, Q
@@ -196,6 +197,20 @@ def congruence_sublattice(L, f, m, d):
 # isometry testing (small positive definite lattices)
 
 
+def _gram_schmidt_row(G, d, lam, k):
+    """Row k of the integral Gram-Schmidt data from rows < k: lam[k][l] =
+    d[l + 1] mu_kl for l < k, and d[k + 1] = lam[k][k], the leading
+    principal minor of order k + 1 (Cohen, Alg. 2.6.7, step 2)."""
+    for j in range(k + 1):
+        u = G[k][j]
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        lam[k][j] = u
+    d[k + 1] = lam[k][k]
+    if d[k + 1] <= 0:
+        raise ValueError("Gram matrix is not positive definite")
+
+
 def lll_reduce(G):
     """Integral LLL on a positive definite Gram matrix, delta = 99/100.
 
@@ -240,21 +255,12 @@ def lll_reduce(G):
         d[k] = B
 
     if n:
-        d[1] = G[0][0]
-        if d[1] <= 0:
-            raise ValueError("LLL needs a positive definite Gram matrix")
+        _gram_schmidt_row(G, d, lam, 0)
     k, kmax = 1, 0
     while k < n:
-        if k > kmax:  # incremental Gram-Schmidt; lam[k][k] ends as d[k + 1]
+        if k > kmax:
             kmax = k
-            for j in range(k + 1):
-                u = G[k][j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                lam[k][j] = u
-            d[k + 1] = lam[k][k]
-            if d[k + 1] <= 0:
-                raise ValueError("LLL needs a positive definite Gram matrix")
+            _gram_schmidt_row(G, d, lam, k)
         red(k, k - 1)
         if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
             swap(k, kmax)
@@ -267,20 +273,23 @@ def lll_reduce(G):
 
 
 def short_vectors(G, bound):
-    """All x != 0 with x^t G x <= bound, for positive definite G (both signs)."""
+    """All x != 0 with x^t G x <= bound, for positive definite G (both signs).
+
+    Fincke-Pohst in integers.  With d and lam from `_gram_schmidt_row`,
+    x^t G x = sum_i (d[i + 1] x_i + T_i)^2 / (d[i] d[i + 1]) where
+    T_i = sum_(k > i) lam[k][i] x_k; the bound left is kept scaled by
+    s = lcm_i d[i] d[i + 1].  x_(n-1) is chosen first and each coordinate
+    runs upwards, so the vectors come in the order of (x_(n-1), ..., x_0).
+    """
     n = len(G)
     if n == 0:
         return []
-    q = [[Fraction(G[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("short_vectors needs a positive definite Gram matrix")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
+    d = [1] * (n + 1)
+    lam = zeros(n, n)
+    for k in range(n):
+        _gram_schmidt_row(G, d, lam, k)
+    s = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    c = [s // (d[i] * d[i + 1]) for i in range(n)]
     out = []
     x = [0] * n
 
@@ -289,21 +298,15 @@ def short_vectors(G, bound):
             if any(x):
                 out.append(list(x))
             return
-        t = sum(q[i][j] * x[j] for j in range(i + 1, n))
-        s = rem / q[i][i]
-        r = isqrt(int(s)) + 2
-        lo = -t - r
-        hi = -t + r
-        k = int(lo) - 1
-        while k <= hi:
-            val = q[i][i] * (k + t) ** 2
-            if val <= rem:
-                x[i] = k
-                rec(i - 1, rem - val)
-            k += 1
+        t = sum(lam[k][i] * x[k] for k in range(i + 1, n))
+        m = isqrt(rem // c[i])  # |d[i + 1] x_i + t| <= m
+        di = d[i + 1]
+        for xi in range(-((m + t) // di), (m - t) // di + 1):
+            x[i] = xi
+            rec(i - 1, rem - c[i] * (di * xi + t) ** 2)
         x[i] = 0
 
-    rec(n - 1, Fraction(bound))
+    rec(n - 1, s * bound)
     return out
 
 

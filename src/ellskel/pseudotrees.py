@@ -17,6 +17,7 @@ tree); the whole tree is None when k = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from . import homology
 from .exact import cokernel_invariants, mat_mul, transpose, zeros
@@ -333,10 +334,9 @@ def verify_series(series, s):
         lattice_ok = is_isometric(T, expect)
         det_T = T.det()
         det_S = fiber_lattice_det(types)
-        index_sq, order = det_S // det_T, 1
-        while order * order < index_sq:
-            order += 1
-        if order * order != index_sq:
+        index_sq, rest = divmod(det_S, det_T)
+        order = isqrt(index_sq)
+        if rest or order * order != index_sq:
             raise AssertionError(f"det S / det T = {det_S} / {det_T} is not a square")
         mw_ok = (mw.order == order) and (order == 1 or s == 1)
         results.append((idx, lattice_ok, mw, mw_ok))

@@ -76,15 +76,15 @@ class Skeleton:
         if len(c) != 3:
             raise SkeletonError(f"nx cycle {c} does not have length 3")
 
-    @property
+    @cached_property
     def vertices(self):
         """nx orbits, each starting at its minimal end, ordered by that end."""
-        return _orbits(self.nx, self.n_ends)
+        return tuple(_orbits(self.nx, self.n_ends))
 
-    @property
+    @cached_property
     def edges(self):
         """op orbits as sorted pairs, ordered by the smaller end."""
-        return [(i, self.op[i]) for i in range(self.n_ends) if i < self.op[i]]
+        return tuple((i, self.op[i]) for i in range(self.n_ends) if i < self.op[i])
 
     @cached_property
     def _vertex_index(self):

@@ -366,6 +366,15 @@ def test_verify_series_cli(capsys):
     assert doc["results"][0]["mw_torsion"] == [3]
 
 
+def test_verify_series_det_remainder_exit_4(capsys, monkeypatch):
+    # th1.3 s=1 has det T = 16; det S = 67 floors to 67 // 16 = 4 = 2^2,
+    # but 16 does not divide 67, so no section group fits
+    monkeypatch.setattr(pseudotrees, "fiber_lattice_det", lambda types: 67)
+    code, out, err = run_cli(capsys, "verify-series", "th1.3", "--s-max", "1")
+    assert code == 4
+    assert "det S / det T = 67 / 16 is not a square" in err
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "4", "--json")
     assert code == 0
@@ -494,7 +503,7 @@ def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):
     relation_calls = count_calls(monkeypatch, homology, "relation_matrix")
     kernel_calls = count_calls(
         monkeypatch, homology, "kernel_and_cokernel",
-        lambda rows, n: n == 2 * lsk.n_ends,
+        lambda rows, n: n == 2 * len(lsk.edges),
     )
     # the radical: one kernel of the Gram, from either module
     gram_calls = [count_calls(monkeypatch, module, "integer_kernel",
@@ -510,16 +519,28 @@ def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):
 def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):
     """Each trivalent analysis, sweep class and series tree eliminates its
     relation matrix D once (kernel and first cokernel route) and D^t once
-    (second route), and is_isometric takes no kernel of its lattices."""
+    (second route), and is_isometric takes no kernel of its lattices.  D
+    has one row pair per vertex and one column pair per edge: 2V x 2E, so
+    2:3 on a trivalent skeleton.  D^t is matched by identity, because
+    `sparse_transpose` leaves out the zero columns of D."""
     shapes = []  # (rows, columns) of every relation matrix built
-    build = homology.relation_matrix
+    built, transposes = [], []
+    build, transpose = homology.relation_matrix, homology.sparse_transpose
 
     def spy_build(lsk):
         D, n = build(lsk)
         shapes.append((len(D), n))
+        built.append(D)
         return D, n
 
+    def spy_transpose(rows):
+        out = transpose(rows)
+        if any(rows is D for D in built):
+            transposes.append(out[0])
+        return out
+
     monkeypatch.setattr(homology, "relation_matrix", spy_build)
+    monkeypatch.setattr(homology, "sparse_transpose", spy_transpose)
     eliminations = count_calls(monkeypatch, exact, "_eliminate_units")
     inside = []
     iso_kernels = count_calls(monkeypatch, lattices, "integer_kernel",
@@ -537,14 +558,18 @@ def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, "is_isometric", spy_isometric)
 
     def run(*argv):
-        shapes.clear()
-        eliminations.clear()
+        for calls in shapes, built, transposes, eliminations:
+            calls.clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
-        expected = Counter(shapes) + Counter((n, m) for m, n in shapes)
+        expected = Counter(shapes)
         seen = Counter((len(rows), n) for rows, n in eliminations
                        if (len(rows), n) in expected)
         assert seen == expected
+        assert len(transposes) == len(shapes)
+        assert all(sum(rows is Dt for rows, _ in eliminations) == 1
+                   for Dt in transposes)
+        assert all(2 * n == 3 * m for m, n in shapes)
         return json.loads(out)
 
     rng = random.Random(14)

@@ -15,8 +15,6 @@ from ellskel.homology import (
     h_gamma,
     kernel_cycles_span_radical,
     mordell_weil,
-    relation_matrix,
-    scaled_form,
     transcendental_lattice,
 )
 from ellskel.pseudotrees import (
@@ -27,7 +25,7 @@ from ellskel.pseudotrees import (
 from ellskel.skeletons import SkeletonError, X, Y, default_orientation, gl2_mul, regions
 from ellskel.skelfile import parse
 
-from test_homology import dense, tripod_form6, tripod_relations
+from test_homology import through_expansion
 from test_skeletons import perm_from_cycles, random_skeleton
 
 YT = tuple(tuple(r) for r in Y)
@@ -53,8 +51,8 @@ def test_reduction_to_trivalent_engine():
         o = default_orientation(sk)
         lsk = from_skeleton(sk, o)
         lsk.validate()
-        assert dense(scaled_form(lsk)) == tripod_form6(sk)
-        assert dense(relation_matrix(lsk)) == tripod_relations(sk, o)
+        checks = through_expansion(lsk, h_gamma(lsk))
+        assert len(checks) == 5 and all(checks.values()), checks
         assert invariants(lsk)[2]
 
 
@@ -179,9 +177,9 @@ def test_double_insertion():
     assert radical_ok
 
 
-def one_vertex_six_valent(op_cycles):
+def one_vertex_six_valent(op_cycles, head=min):
     op = perm_from_cycles(6, op_cycles)
-    heads = tuple(min(p) for p in op_cycles)
+    heads = tuple(head(p) for p in op_cycles)
     return LabelledSkeleton(
         6, op, perm_from_cycles(6, [(0, 1, 2, 3, 4, 5)]), heads, (YT,) * 3
     )
@@ -211,6 +209,29 @@ def test_six_valent_torsion_section_group():
     T, mw, radical_ok = invariants(lsk)
     assert mw.torsion == (2,)
     assert radical_ok
+
+
+def test_labelled_engine_through_expansion():
+    """Every E kind on two edges of two bases, a double insertion, and
+    six-valent vertices (three pairings, heads at either end) against the
+    end-coordinate oracles; the six-valent form is pinned by
+    test_six_valent_vertex."""
+    cases = [insert_E_fiber(all_A_base(2), 0, "A0**")]
+    cases.append(insert_E_fiber(cases[0], 5, "E8", 0))
+    for k in (2, 3):
+        base = all_A_base(k)
+        for kind, var in DISK_ORDERS:
+            for ei in (0, len(base.edges) - 1):
+                cases.append(insert_E_fiber(base, ei, kind, var))
+    for pairs in ([(0, 3), (1, 4), (2, 5)], [(0, 2), (1, 4), (3, 5)],
+                  [(0, 1), (2, 3), (4, 5)]):
+        for head in (min, max):
+            cases.append(one_vertex_six_valent(pairs, head))
+    for lsk in cases:
+        lsk.validate()
+        checks = through_expansion(lsk, h_gamma(lsk))
+        assert all(checks.values()), checks
+        assert ("form" in checks) == (lsk.n_ends != 6)
 
 
 def test_validate_rejects_bad_valency():

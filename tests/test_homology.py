@@ -8,6 +8,7 @@ import ellskel
 from ellskel import homology
 from ellskel.exact import (
     AbelianInvariants,
+    cokernel_invariants,
     det,
     hermite_normal_form,
     integer_kernel,
@@ -31,7 +32,6 @@ from ellskel.homology import (
 from ellskel.lattices import is_isometric, radical_and_quotient
 from ellskel.skeletons import (
     X,
-    Y,
     Orientation,
     default_orientation,
     fiber_types,
@@ -60,27 +60,63 @@ def _add_block(M, r, c, blk):
             M[r + i][c + j] += blk[i][j]
 
 
-def tripod_relations(sk, orientation, marking=None):
-    """Oracle: the tripod relation matrix, built independently of the engine.
+def tripod_relations(lsk, marking=None):
+    """Oracle: the relation matrix on one H per edge-end, built
+    independently of the engine.
 
-    One marked vertex relation h_m1 + X h_m2 + X^2 h_m3 = 0 per vertex
-    (m1 defaults to the smallest end) and h_head + Y h_tail = 0 per edge.
+    One vertex relation sum_i X^(i mod 3) h_(m_i) = 0 per vertex, its ends
+    m_1, m_2, ... in nx order from the marked end m_1 (default: the
+    smallest), so h_m1 + X h_m2 + X^2 h_m3 = 0 at a trivalent vertex; and
+    h_head + L h_tail = 0 per edge.
     """
     if marking is None:
-        marking = tuple(v[0] for v in sk.vertices)
-    n = sk.n_ends
-    D = zeros(2 * len(sk.vertices) + 2 * len(sk.edges), 2 * n)
-    for vi, m1 in enumerate(marking):
-        m2 = sk.nx[m1]
-        m3 = sk.nx[m2]
-        _add_block(D, 2 * vi, 2 * m1, ((1, 0), (0, 1)))
-        _add_block(D, 2 * vi, 2 * m2, X)
-        _add_block(D, 2 * vi, 2 * m3, gl2_mul(X, X))
-    for ei, ((a, b), h) in enumerate(zip(sk.edges, orientation.heads)):
-        r = 2 * (len(sk.vertices) + ei)
+        marking = tuple(v[0] for v in lsk.vertices)
+    D = zeros(2 * len(lsk.vertices) + 2 * len(lsk.edges), 2 * lsk.n_ends)
+    for vi, m in enumerate(marking):
+        for i in range(len(lsk.vertices[vi])):
+            _add_block(D, 2 * vi, 2 * m, gl2_mul(*[X] * (i % 3)))
+            m = lsk.nx[m]
+    for ei, ((a, b), h, L) in enumerate(zip(lsk.edges, lsk.heads, lsk.labels)):
+        r = 2 * (len(lsk.vertices) + ei)
         _add_block(D, r, 2 * h, ((1, 0), (0, 1)))
-        _add_block(D, r, 2 * (a + b - h), Y)
+        _add_block(D, r, 2 * (a + b - h), L)
     return D
+
+
+def expansion(lsk):
+    """Oracle: Phi, the end values (rows) of the edge values (columns).
+
+    An edge's value is the value at its smaller end; the other end carries
+    -L times it at a head and -L^-1 times it at a tail, so that
+    h_head + L h_tail = 0.
+    """
+    P = zeros(2 * lsk.n_ends, 2 * len(lsk.edges))
+    for e, ((a, b), h, L) in enumerate(zip(lsk.edges, lsk.heads, lsk.labels)):
+        (p, q), (r, t) = L
+        M = [[-p, -q], [-r, -t]] if b == h else [[-t, q], [r, -p]]
+        _add_block(P, 2 * a, 2 * e, ((1, 0), (0, 1)))
+        _add_block(P, 2 * b, 2 * e, M)
+    return P
+
+
+def through_expansion(lsk, hg):
+    """One flag per check of the engine's edge-coordinate results against
+    the end-coordinate oracles: the edge rows vanish on Phi, D = the vertex
+    rows of D_ends Phi, Phi K = the canonical kernel of D_ends, both
+    cokernels have the same torsion, and on a trivalent skeleton the form
+    is Phi^t F6 Phi."""
+    D_ends, P = tripod_relations(lsk), expansion(lsk)
+    nv = 2 * len(lsk.vertices)
+    checks = {
+        "edge rows": not any(map(any, mat_mul(D_ends[nv:], P))),
+        "relations": dense((hg.relations, len(P[0]))) == mat_mul(D_ends[:nv], P),
+        "kernel": integer_kernel(D_ends) == mat_mul(P, hg.kernel),
+        "torsion": cokernel_invariants(D_ends).torsion == hg.torsion,
+    }
+    if all(len(v) == 3 for v in lsk.vertices):
+        form = mat_mul(transpose(P), mat_mul(tripod_form6(lsk), P))
+        checks["form"] = dense(homology.scaled_form(lsk)) == form
+    return checks
 
 
 def tripod_form6(sk):
@@ -193,12 +229,15 @@ def k1_all_A_orientation():
 
 
 def test_boundary_matrix_shape_and_rank():
+    """One H per edge: D keeps the 4 vertex rows over 6 edge columns of the
+    10 x 12 end-coordinate matrix, and both have full row rank."""
     for sk in (PSEUDOTREE_K1, THETA_TORUS, THETA_PLANAR):
-        D = dense(homology.relation_matrix(
-            from_skeleton(sk, default_orientation(sk))))
-        assert len(D) == 10
-        assert len(D[0]) == 12
-        assert rank(D) == 10
+        lsk = from_skeleton(sk, default_orientation(sk))
+        D_ends = tripod_relations(lsk)
+        assert (len(D_ends), len(D_ends[0]), rank(D_ends)) == (10, 12, 10)
+        D = dense(homology.relation_matrix(lsk))
+        assert (len(D), len(D[0]), rank(D)) == (4, 6, 4)
+        assert D == mat_mul(D_ends[:4], expansion(lsk))
 
 
 def test_engine_matches_tripod_oracle():
@@ -207,8 +246,8 @@ def test_engine_matches_tripod_oracle():
         sk = random_skeleton(rng, rng.choice([2, 4]))
         o = Orientation(tuple(rng.choice(e) for e in sk.edges))
         lsk = from_skeleton(sk, o)
-        assert dense(homology.relation_matrix(lsk)) == tripod_relations(sk, o)
-        assert dense(homology.scaled_form(lsk)) == tripod_form6(sk)
+        checks = through_expansion(lsk, h_gamma(lsk))
+        assert len(checks) == 5 and all(checks.values()), checks
         assert homology.form_scale(lsk) == 6
 
 
@@ -239,15 +278,17 @@ def test_marked_vs_unmarked_form():
     for _ in range(10):
         sk = random_skeleton(rng, 2)
         o = default_orientation(sk)
-        hg = hg_of(sk, o)
+        lsk = from_skeleton(sk, o)
+        hg = h_gamma(lsk)
+        K = mat_mul(expansion(lsk), hg.kernel)  # in end coordinates
         for _ in range(5):
             marking = tuple(rng.choice(v) for v in sk.vertices)
             # the kernel does not depend on the marking of the relations
-            assert integer_kernel(tripod_relations(sk, o, marking)) == hg.kernel
-            assert h_gamma_marked(sk, hg.kernel, marking) == hg.gram
+            assert integer_kernel(tripod_relations(lsk, marking)) == K
+            assert h_gamma_marked(sk, K, marking) == hg.gram
         # different markings agree too (form is marking-independent on H)
         m1 = tuple(v[1] for v in sk.vertices)
-        assert h_gamma_marked(sk, hg.kernel, m1) == hg.gram
+        assert h_gamma_marked(sk, K, m1) == hg.gram
 
 
 def test_mordell_weil_k1():

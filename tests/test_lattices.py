@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, isqrt
+from operator import mul
 
 import pytest
 
@@ -205,6 +207,78 @@ def test_short_vectors():
     # E8 has 240 roots
     G = standard_lattice("E", 8).gram_rows()
     assert len(short_vectors(G, 2)) == 240
+
+
+def fraction_short_vectors(G, bound):
+    """Oracle: Fincke-Pohst over Fractions, in the order of `short_vectors`."""
+    n = len(G)
+    if n == 0:
+        return []
+    q = [[Fraction(G[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("short_vectors needs a positive definite Gram matrix")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= q[k][i] * q[i][l]
+    out = []
+    x = [0] * n
+
+    def rec(i, rem):
+        if i < 0:
+            if any(x):
+                out.append(list(x))
+            return
+        t = sum(q[i][j] * x[j] for j in range(i + 1, n))
+        s = rem / q[i][i]
+        r = isqrt(int(s)) + 2
+        lo = -t - r
+        hi = -t + r
+        k = int(lo) - 1
+        while k <= hi:
+            val = q[i][i] * (k + t) ** 2
+            if val <= rem:
+                x[i] = k
+                rec(i - 1, rem - val)
+            k += 1
+        x[i] = 0
+
+    rec(n - 1, Fraction(bound))
+    return out
+
+
+def test_short_vectors_differential():
+    """The integer enumeration against the Fraction oracle (same vectors in
+    the same order) and against a brute force over a box that holds every
+    x of norm <= bound: x_i^2 <= bound (G^-1)_ii by Cauchy-Schwarz."""
+    rng = random.Random(71)
+    roots = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5)]
+    for case in range(80):
+        if case % 2:
+            n = rng.randint(1, 5)
+            A = [[rng.randint(-3, 3) for _ in range(n)]
+                 for _ in range(rng.randint(0, n))] + identity(n)
+            G = mat_mul(transpose(A), A)
+        else:
+            G = standard_lattice(*rng.choice(roots)).gram_rows()
+            n = len(G)
+            G = congruent(G, random_unimodular(rng, n, steps=10, q=3))
+        G, _ = lattices.lll_reduce(G)
+        bound = rng.randint(1, 2 * max(G[i][i] for i in range(n)))
+        got = short_vectors(G, bound)
+        assert got == fraction_short_vectors(G, bound)
+        minors = [exact.det([r[:i] + r[i + 1:] for r in G[:i] + G[i + 1:]])
+                  for i in range(n)]  # (G^-1)_ii = minors[i] / det G
+        radii = [isqrt(bound * m // exact.det(G)) for m in minors]
+        box = [list(x) for x in product(*(range(-r, r + 1) for r in radii))
+               if any(x) and sum(map(mul, x, exact.mat_vec(G, x))) <= bound]
+        assert sorted(got) == sorted(box)
+        assert len(got) == len(set(map(tuple, got)))
+    with pytest.raises(ValueError):
+        short_vectors([[1, 2], [2, 1]], 4)
 
 
 def test_is_isometric():
