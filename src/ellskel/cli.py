@@ -31,6 +31,7 @@ from .skeletons import (
     SkeletonError,
     fiber_types,
     orientation_classes,
+    region_monodromy,
     regions,
 )
 
@@ -48,11 +49,12 @@ def _mw_dict(mw):
 
 
 def analyze_skeleton(sk, orientation):
-    fibers = fiber_types(sk, orientation)
+    lsk = generalized.from_skeleton(sk, orientation)
+    fibers = fiber_types(lsk)
     types = fibers[0]
     cohom = []
     region_rows = []
-    for r in regions(sk):
+    for r in regions(lsk):
         ft = types[r]
         region_rows.append(
             {
@@ -62,12 +64,11 @@ def analyze_skeleton(sk, orientation):
                 "milnor": ft.milnor,
             }
         )
-        group, _ = homology.region_cohomology(sk, orientation, r)
-        cohom.append(list(group.torsion))
+        cohom.append(list(homology.region_cohomology(lsk, r).torsion))
     # after the region loop, so that its matrices and the relation matrix
     # are never alive together
-    hg, T, mw = homology.trivalent_invariants(sk, orientation)
-    inv = homology.surface_invariants(sk, fibers, hg, T)
+    hg, T, mw = homology.trivalent_invariants(lsk)
+    inv = homology.surface_invariants(lsk, fibers, hg, T)
     return {
         "counts": sk.counts(),
         "genus": inv.g,
@@ -86,7 +87,7 @@ def analyze_labelled(lsk):
     mw = homology.mordell_weil(hg)
     rows = []
     for r in regions(lsk):
-        m = generalized.region_monodromy(lsk, r.cycle)
+        m = region_monodromy(lsk, r.cycle)
         rows.append(
             {
                 "cycle": list(r.cycle),
@@ -117,8 +118,9 @@ def orientation_sweep(sk):
     """
     rows = []
     for o in orientation_classes(sk):
-        types, k, t = fiber_types(sk, o)
-        _, T, mw = homology.trivalent_invariants(sk, o)
+        lsk = generalized.from_skeleton(sk, o)
+        types, k, t = fiber_types(lsk)
+        _, T, mw = homology.trivalent_invariants(lsk)
         rows.append(
             {
                 "heads": list(o.heads),
@@ -237,7 +239,7 @@ def cmd_enumerate(args, out):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, series)
         m, _ = leaf_distances(tree)
-        _, T, mw = homology.trivalent_invariants(sk, o)
+        _, T, mw = homology.trivalent_invariants(generalized.from_skeleton(sk, o))
         records.append(
             {
                 "tree": idx,

@@ -100,10 +100,6 @@ def mat_mul(A, B):
     return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
-def mat_neg(A):
-    return [[-a for a in r] for r in A]
-
-
 def mat_eq(A, B):
     return shape(A) == shape(B) and all(
         a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb)

@@ -7,9 +7,12 @@ encode the additive/exceptional fiber types that a plain oriented
 skeleton cannot express; `insert_E_fiber` splices them into an edge.  A
 plain oriented trivalent skeleton is the all-Y labelled skeleton
 `from_skeleton(sk, o)`, which is how it enters the homology engine in
-`ellskel.homology`.  This module also holds the labelled monodromy: the
-region monodromies, their classification, and the fundamental cycles of
-the regions whose monodromy fixes a vector.
+`ellskel.homology` and the region walk in `ellskel.skeletons`.  Each
+labelled skeleton keeps one table `lifts` of its op-step lifts, -L onto
+the head of an edge labelled L and -L⁻¹ onto its tail, which that walk
+and the engine read.  This module also classifies the region
+monodromies and collects the fundamental cycles of the regions whose
+monodromy fixes a vector.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ from math import gcd
 
 from .exact import identity, integer_kernel, mat_mul
 from .skeletons import (
-    NX_INV,
-    OP,
+    NEG_X,
     Skeleton,
     SkeletonError,
     X,
     Y,
+    fundamental_cycle,
     gl2_apply,
     gl2_mul,
+    region_monodromy,
     regions,
 )
 
@@ -44,8 +48,8 @@ def inv2(m):
 XYX = tuple(tuple(r) for r in gl2_mul(X, Y, X))
 
 E_LABELS = {
-    "A0**": (tuple(tuple(r) for r in X),),
-    "E6": (tuple(tuple(-x for x in r) for r in X),),
+    "A0**": (X,),
+    "E6": (NEG_X,),
     "A1*": (tuple(tuple(-x for x in r) for r in XYX),),
     "E7": (XYX,),
     "A2*": None,  # two labels, variant required
@@ -58,16 +62,20 @@ def _e_labels(kind, variant):
     if kind in _TWO_LABEL_KINDS:
         if variant not in (0, 1):
             raise ValueError(f"kind {kind!r} needs an explicit variant 0 or 1")
-        px = tuple(tuple(r) for r in X)
-        nx_ = tuple(tuple(-x for x in r) for r in X)
         if kind == "A2*":
-            return (px, px) if variant == 0 else (nx_, nx_)
-        return (px, nx_) if variant == 0 else (nx_, px)
+            return (X, X) if variant == 0 else (NEG_X, NEG_X)
+        return (X, NEG_X) if variant == 0 else (NEG_X, X)
     if kind not in E_LABELS:
         raise ValueError(f"unknown fiber kind {kind!r}")
     if variant is not None:
         raise ValueError(f"kind {kind!r} takes no variant")
     return E_LABELS[kind]
+
+
+@lru_cache(maxsize=256)
+def _transport(L, to_head):
+    """-L onto the head of an edge labelled L, -L^-1 onto its tail."""
+    return tuple(tuple(-x for x in r) for r in (L if to_head else inv2(L)))
 
 
 @dataclass(frozen=True)
@@ -104,23 +112,19 @@ class LabelledSkeleton(Skeleton):
                 raise SkeletonError(f"label {L} has determinant != 1")
 
     @cached_property
-    def _edge_index(self):
-        index = [0] * self.n_ends
-        for i, (a, b) in enumerate(self.edges):
-            index[a] = index[b] = i
-        return index
-
-    def label_at(self, end):
-        """(L, head) for the edge containing `end`."""
-        i = self._edge_index[end]
-        return self.labels[i], self.heads[i]
+    def lifts(self):
+        """The SL(2,Z) lift of the op step onto each end."""
+        out = [None] * self.n_ends
+        for (a, b), h, L in zip(self.edges, self.heads, self.labels):
+            out[a] = _transport(L, a == h)
+            out[b] = _transport(L, b == h)
+        return tuple(out)
 
 
 def from_skeleton(sk, orientation):
     """Plain oriented trivalent skeleton as an all-Y labelled one."""
-    y = tuple(tuple(r) for r in Y)
     return LabelledSkeleton(
-        sk.n_ends, sk.op, sk.nx, orientation.heads, (y,) * len(sk.edges)
+        sk.n_ends, sk.op, sk.nx, orientation.heads, (Y,) * len(sk.edges)
     )
 
 
@@ -138,8 +142,7 @@ def insert_E_fiber(lsk, edge_idx, kind, variant=None):
     if not 0 <= edge_idx < len(edges):
         raise ValueError(f"no edge {edge_idx}")
     a, b = edges[edge_idx]
-    y = tuple(tuple(r) for r in Y)
-    if lsk.labels[edge_idx] != y:
+    if lsk.labels[edge_idx] != Y:
         raise ValueError("can only insert on a Y-labelled edge")
     h = lsk.heads[edge_idx]
     n0 = lsk.n_ends
@@ -157,9 +160,9 @@ def insert_E_fiber(lsk, edge_idx, kind, variant=None):
             nxp[x_] = y_
         for x_, y_ in ((a, p), (s, b), (r, w0), (w1, w2)):
             op[x_], op[y_] = y_, x_
-        edge_data[tuple(sorted((a, p)))] = (a if h == a else p, y)
-        edge_data[tuple(sorted((s, b)))] = (b if h == b else s, y)
-        edge_data[tuple(sorted((r, w0)))] = (r, y)
+        edge_data[tuple(sorted((a, p)))] = (a if h == a else p, Y)
+        edge_data[tuple(sorted((s, b)))] = (b if h == b else s, Y)
+        edge_data[tuple(sorted((r, w0)))] = (r, Y)
         edge_data[(w1, w2)] = (w2, labels[0])
     else:
         # u = (p, c1, d1), v = (q, c2, d2); arcs (c1,d2) and (d1,c2) bound
@@ -171,8 +174,8 @@ def insert_E_fiber(lsk, edge_idx, kind, variant=None):
             nxp[x_] = y_
         for x_, y_ in ((a, p), (q, b), (c1, d2), (d1, c2)):
             op[x_], op[y_] = y_, x_
-        edge_data[tuple(sorted((a, p)))] = (a if h == a else p, y)
-        edge_data[tuple(sorted((q, b)))] = (b if h == b else q, y)
+        edge_data[tuple(sorted((a, p)))] = (a if h == a else p, Y)
+        edge_data[tuple(sorted((q, b)))] = (b if h == b else q, Y)
         edge_data[tuple(sorted((c1, d2)))] = (d2, labels[0])
         edge_data[tuple(sorted((d1, c2)))] = (d1, labels[1])
     out_edges = [(i, op[i]) for i in range(n0 + 6) if i < op[i]]
@@ -184,35 +187,7 @@ def insert_E_fiber(lsk, edge_idx, kind, variant=None):
 
 
 # ---------------------------------------------------------------------------
-# monodromy on labelled skeletons
-
-
-def step_matrix(lsk, step, end_from):
-    if step == NX_INV:
-        return tuple(tuple(-x for x in r) for r in X)
-    if step != OP:
-        # nx steps only make sense between consecutive ends of one vertex
-        raise ValueError("labelled paths use op and nx' steps only")
-    L, head = lsk.label_at(end_from)
-    return _transport(L, lsk.op[end_from] == head)
-
-
-@lru_cache(maxsize=256)
-def _transport(L, to_head):
-    """-L onto the head of an edge labelled L, -L^-1 onto its tail."""
-    return tuple(tuple(-x for x in r) for r in (L if to_head else inv2(L)))
-
-
-def region_monodromy(lsk, cycle):
-    out = identity(2)
-    cur = cycle[0]
-    for _ in range(len(cycle)):
-        out = mat_mul([list(r) for r in step_matrix(lsk, OP, cur)], out)
-        cur = lsk.nx_inv[lsk.op[cur]]
-        out = mat_mul([list(r) for r in step_matrix(lsk, NX_INV, 0)], out)
-    if cur != cycle[0]:
-        raise AssertionError(f"region {cycle} is not closed")
-    return [tuple(r) for r in out]
+# region monodromies on labelled skeletons
 
 
 def parabolic_conjugator(m, sign):
@@ -282,23 +257,7 @@ def kernel_cycles(lsk):
     """Fundamental cycles of regions whose monodromy fixes a vector."""
     out = []
     for region in regions(lsk):
-        cycle = region.cycle
-        v = invariant_vector(region_monodromy(lsk, cycle))
-        if v is None or v == (0, 0):
-            continue
-        vec = [0] * (2 * lsk.n_ends)
-        h = v
-        cur = cycle[0]
-        for _ in range(len(cycle)):
-            h = gl2_apply(step_matrix(lsk, OP, cur), h)
-            cur = lsk.op[cur]
-            vec[2 * cur] += h[0]
-            vec[2 * cur + 1] += h[1]
-            h = gl2_apply(step_matrix(lsk, NX_INV, 0), h)
-            cur = lsk.nx_inv[cur]
-            vec[2 * cur] += h[0]
-            vec[2 * cur + 1] += h[1]
-        if h != v or cur != cycle[0]:
-            raise AssertionError(f"transport around region {cycle} does not close")
-        out.append(vec)
+        v = invariant_vector(region_monodromy(lsk, region.cycle))
+        if v is not None:
+            out.append(fundamental_cycle(lsk, region.cycle, v))
     return out

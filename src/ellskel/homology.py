@@ -5,10 +5,11 @@ taken in nx order from the smallest, on a value h_α in H per edge-end α,
 and one edge relation h_head + L h_tail = 0 per edge.  The edge relations
 are solved when the matrices are built: the chain group is C = ⊕_e H,
 one rank-2 summand per edge (coordinates 2e, 2e+1) holding u_e, the value
-at its smaller end; the other end carries M u_e, M = -L at a head and
--L⁻¹ at a tail.  D is the vertex rows, each end contributing X^i M, and
-the form is Φ^t F Φ, where Φ maps edge values to end values.  The larger
-ends' columns are fixed by columns to their left, so they hold no Hermite
+at its smaller end; the other end carries M u_e, where M is its op-step
+lift in the skeleton's table `lifts`: -L at a head and -L⁻¹ at a tail.
+D is the vertex rows, each end contributing X^i M, and the form is
+Φ^t F Φ, where Φ maps edge values to end values.  The larger ends'
+columns are fixed by columns to their left, so they hold no Hermite
 pivot: the canonical kernel on end values is Φ times that of D, with the
 same Gram, and the edge rows are unimodular block pivots, so the
 cokernel is the same.  The kernel H_Gamma carries the weighted
@@ -19,7 +20,8 @@ radical), and the cokernel of D yields the Mordell-Weil torsion.
 A plain oriented trivalent skeleton enters as the all-Y labelled skeleton
 `generalized.from_skeleton(sk, o)`, where the vertex relation is the
 tripod relation h_m1 + X h_m2 + X² h_m3 = 0 and the form is the tripod
-form; `trivalent_invariants` is that path.
+form; `trivalent_invariants` is that path.  The region cohomology reads
+the same lifts through the region walk `skeletons.region_steps`.
 
 Forms are kept as integer matrices scaled by 2 lcm(valencies) (6 on
 trivalent input); restriction to the kernel must land in integers.
@@ -32,7 +34,6 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from . import skeletons
 from .exact import (
     AbelianInvariants,
     cokernel_invariants,
@@ -43,11 +44,18 @@ from .exact import (
     sparse_cokernel,
     sparse_transpose,
     transpose,
-    zeros,
 )
-from .generalized import _transport, from_skeleton, kernel_cycles
+from .generalized import kernel_cycles
 from .lattices import IntLattice, radical_and_quotient
-from .skeletons import X, genus, gl2_apply, gl2_mul, monodromy, regions
+from .skeletons import (
+    X,
+    genus,
+    gl2_apply,
+    gl2_mul,
+    region_monodromy,
+    region_steps,
+    regions,
+)
 
 # X^d and the polarized form's block -S X^d for d mod 3, where S is the
 # symplectic Gram (a.b = 1)
@@ -77,9 +85,9 @@ def _end_maps(lsk):
     """(e, M) per end: the end carries M u_e, where u_e is the value at the
     smaller end of its edge e (M = I there)."""
     out = [None] * lsk.n_ends
-    for e, ((a, b), h, L) in enumerate(zip(lsk.edges, lsk.heads, lsk.labels)):
+    for e, (a, b) in enumerate(lsk.edges):
         out[a] = (e, _I)
-        out[b] = (e, _transport(L, b == h))
+        out[b] = (e, lsk.lifts[b])
     return out
 
 
@@ -184,9 +192,10 @@ def mordell_weil(hg):
     return AbelianInvariants(0, hg.torsion)
 
 
-def trivalent_invariants(sk, orientation):
-    """(H_Gamma, T, MW) of an oriented trivalent skeleton; T is definite."""
-    hg = h_gamma(from_skeleton(sk, orientation))
+def trivalent_invariants(lsk):
+    """(H_Gamma, T, MW) of an oriented trivalent skeleton, given as its
+    all-Y labelled skeleton; T is definite."""
+    hg = h_gamma(lsk)
     _, T = transcendental_lattice(hg)
     if T.rank and not T.is_positive_definite():
         raise AssertionError("transcendental lattice is not positive definite")
@@ -228,40 +237,30 @@ def kernel_cycles_span_radical(lsk, hg, radical):
     return saturate_columns(transpose(coords)) == radical
 
 
-def region_cohomology(sk, orientation, region):
+def region_cohomology(lsk, region):
     """Cohomology of a fiber neighbourhood boundary over one region.
 
-    Returns (group invariants, restriction matrix).  The group is the
-    quotient of one H* copy per boundary position by the transport
-    relations; its torsion is cross-checked against Coker(M^t - id) for
-    the full boundary monodromy M.
+    Returns the group invariants: the quotient of one H* copy per boundary
+    position of the region walk by the transport relations.  Its torsion
+    is cross-checked against Coker(M^t - id) for the full boundary
+    monodromy M.
     """
-    n = region.size
-    path = region.boundary_path()
-    seq = path.ends(sk)
-    steps = [skeletons.step_matrix(sk, orientation, s, a)
-             for s, a in zip(path.word, seq)]
-    N = 2 * n  # boundary positions
+    steps = [m for _, m in region_steps(lsk, region.cycle)]
+    N = len(steps)  # boundary positions
     R = [{} for _ in range(2 * N)]
-    for i in range(N):
-        m = steps[i]  # transport from position i to position i+1 (mod N)
-        j = (i + 1) % N
-        # relation row for covector e_c: e_c at position j minus m^t e_c at
-        # position i; the coefficient of generator (i, c') is -m[c][c']
-        _add_block(R, 2 * i, 2 * j, ((1, 0), (0, 1)))
+    for i, m in enumerate(steps):
+        # m transports from position i to position i+1 (mod N); relation row
+        # for covector e_c: e_c at position i+1 minus m^t e_c at position i,
+        # so the coefficient of generator (i, c') is -m[c][c']
+        _add_block(R, 2 * i, 2 * ((i + 1) % N), _I)
         _add_block(R, 2 * i, 2 * i, [[-x for x in r] for r in m])
     inv = sparse_cokernel(R, 2 * N)
-    M = monodromy(sk, orientation, path)
+    M = region_monodromy(lsk, region.cycle)
     Mt_minus_id = [[M[j][i] - (i == j) for j in range(2)] for i in range(2)]
     side = cokernel_invariants(Mt_minus_id)
     if inv.torsion != side.torsion:
         raise AssertionError(f"region cohomology {inv} differs from {side}")
-    res = zeros(2 * N, 2 * sk.n_ends)
-    for i in range(N):
-        a = seq[i]
-        res[2 * i][2 * a] = 1
-        res[2 * i + 1][2 * a + 1] = 1
-    return inv, res
+    return inv
 
 
 @dataclass(frozen=True)

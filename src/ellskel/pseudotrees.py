@@ -21,6 +21,7 @@ from math import isqrt
 
 from . import homology
 from .exact import cokernel_invariants, mat_mul, transpose, zeros
+from .generalized import from_skeleton
 from .lattices import (
     IntLattice,
     congruence_sublattice,
@@ -326,11 +327,12 @@ def verify_series(series, s):
     for idx, tree in enumerate(enumerate_marked_trees(k)):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, series)
-        types, _, _ = fiber_types(sk, o)
+        lsk = from_skeleton(sk, o)
+        types, _, _ = fiber_types(lsk)
         names = sorted(ft.name for ft in types.values())
         if names != expected_fiber_names(series, s):
             raise AssertionError(f"{series} s={s} tree {idx}: fibers {names}")
-        _, T, mw = homology.trivalent_invariants(sk, o)
+        _, T, mw = homology.trivalent_invariants(lsk)
         lattice_ok = is_isometric(T, expect)
         det_T = T.det()
         det_S = fiber_lattice_det(types)

@@ -6,7 +6,12 @@ permutation `nx` all of whose cycles have length 3 (the cyclic end order
 at each vertex).  An orientation picks a head end per edge.
 
 Monodromy values live in SL(2,Z), acting on column vectors of the rank-2
-module H = Za + Zb with the symplectic product a.b = 1.
+module H = Za + Zb with the symplectic product a.b = 1.  The transport
+around a region is one walk, `region_steps`, on a labelled skeleton
+(`ellskel.generalized`; an oriented skeleton is its all-Y one): each op
+step is lifted by the skeleton's per-end table `lifts`, each nx⁻¹ step
+by -X.  The region monodromy, the fundamental cycles and the fiber types
+all read that walk.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from functools import cached_property
 from itertools import product
 
 from . import lattices
-from .exact import identity, mat_eq, mat_mul, mat_neg
+from .exact import identity, mat_mul
 
 X = ((-1, 1), (-1, 0))
-XINV = ((0, -1), (1, -1))
 Y = ((0, -1), (1, 0))
-YINV = ((0, 1), (-1, 0))
+NEG_X = ((1, -1), (1, 0))  # the lift of an nx⁻¹ step
 
 
 def gl2_mul(*ms):
@@ -49,7 +53,7 @@ class Skeleton:
         object.__setattr__(self, "op", tuple(self.op))
         object.__setattr__(self, "nx", tuple(self.nx))
 
-    @property
+    @cached_property
     def nx_inv(self):
         inv = [0] * self.n_ends
         for i, j in enumerate(self.nx):
@@ -144,9 +148,6 @@ class Orientation:
     def __post_init__(self):
         object.__setattr__(self, "heads", tuple(self.heads))
 
-    def is_head(self, end):
-        return end in self.heads
-
 
 def default_orientation(sk):
     """Heads at the smaller end of each edge."""
@@ -185,95 +186,6 @@ def orientation_classes(sk):
         yield Orientation(heads)
 
 
-OP, NX, NX_INV = "op", "nx", "nx'"
-
-
-@dataclass(frozen=True)
-class Path:
-    start: int
-    word: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-        w = self.word
-        for s in w:
-            if s not in (OP, NX, NX_INV):
-                raise ValueError(f"bad step {s!r}")
-        for a, b in zip(w, w[1:]):
-            if a == OP and b == OP:
-                raise ValueError("word not reduced: op op")
-            if a != OP and b != OP:
-                raise ValueError("word not reduced: consecutive vertex steps")
-
-    def ends(self, sk):
-        """The visited end sequence (alpha_0, ..., alpha_r)."""
-        seq = [self.start]
-        nxi = sk.nx_inv
-        for s in self.word:
-            cur = seq[-1]
-            seq.append(
-                sk.op[cur] if s == OP else sk.nx[cur] if s == NX else nxi[cur]
-            )
-        return seq
-
-    def is_loop(self, sk):
-        seq = self.ends(sk)
-        return len(self.word) % 2 == 0 and seq[-1] == seq[0]
-
-
-# the step lifts: -X^-1 for nx, -X for nx^-1, and for op -Y or -Y^-1 as
-# the step arrives at a head or a tail
-STEP_NX, STEP_NX_INV, STEP_OP_HEAD, STEP_OP_TAIL = (
-    tuple(map(tuple, mat_neg(m))) for m in (XINV, X, Y, YINV)
-)
-
-
-def step_matrix(sk, orientation, step, end_from):
-    """SL(2,Z) lift of one path step leaving `end_from`."""
-    if step == NX:
-        return STEP_NX
-    if step == NX_INV:
-        return STEP_NX_INV
-    if orientation.is_head(sk.op[end_from]):
-        return STEP_OP_HEAD
-    return STEP_OP_TAIL
-
-
-def monodromy(sk, orientation, path):
-    """Product m_r ... m_1 of the step lifts along the path."""
-    a, b, c, d = 1, 0, 0, 1
-    for s, e in zip(path.word, path.ends(sk)):
-        (p, q), (r, t) = step_matrix(sk, orientation, s, e)
-        a, b, c, d = p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d
-    return [(a, b), (c, d)]
-
-
-def parallel_transport(sk, orientation, path, h0):
-    """Chain ((alpha_i, h_i)) with h_i the stepwise transport of h0."""
-    seq = path.ends(sk)
-    chain = [(seq[0], tuple(h0))]
-    h = tuple(h0)
-    for s, a in zip(path.word, seq):
-        h = gl2_apply(step_matrix(sk, orientation, s, a), h)
-        chain.append((seq[len(chain)], h))
-    return chain
-
-
-def fundamental_cycle(sk, orientation, loop, h):
-    """The closed chain of a monodromy-invariant vector, as a Z^{2n} vector."""
-    if not loop.is_loop(sk):
-        raise ValueError("path is not a loop")
-    m = monodromy(sk, orientation, loop)
-    if gl2_apply(m, tuple(h)) != tuple(h):
-        raise ValueError("vector is not invariant under the loop monodromy")
-    chain = parallel_transport(sk, orientation, loop, h)
-    vec = [0] * (2 * sk.n_ends)
-    for a, hv in chain[1:]:
-        vec[2 * a] += hv[0]
-        vec[2 * a + 1] += hv[1]
-    return vec
-
-
 @dataclass(frozen=True)
 class Region:
     cycle: tuple  # orbit of nx^-1 . op, in traversal order
@@ -282,14 +194,47 @@ class Region:
     def size(self):
         return len(self.cycle)
 
-    def boundary_path(self):
-        return Path(self.cycle[0], (OP, NX_INV) * self.size)
-
 
 def regions(sk):
     nxi = sk.nx_inv
     f = tuple(nxi[sk.op[i]] for i in range(sk.n_ends))
     return [Region(c) for c in _orbits(f, sk.n_ends)]
+
+
+def region_steps(lsk, cycle):
+    """The 2n steps around the region with boundary `cycle`, as (end
+    reached, SL(2,Z) lift): from each end α of the cycle, op onto op[α],
+    lifted by `lsk.lifts`, then nx⁻¹ onto the next end of the cycle,
+    lifted by -X."""
+    lifts, op, nxi = lsk.lifts, lsk.op, lsk.nx_inv
+    for a in cycle:
+        b = op[a]
+        yield b, lifts[b]
+        yield nxi[b], NEG_X
+
+
+def region_monodromy(lsk, cycle):
+    """Product m_2n ... m_1 of the step lifts around the region."""
+    a, b, c, d = 1, 0, 0, 1
+    for _, ((p, q), (r, t)) in region_steps(lsk, cycle):
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d
+    return [(a, b), (c, d)]
+
+
+def fundamental_cycle(lsk, cycle, h):
+    """The closed chain of a vector h that the region's monodromy fixes, as
+    a Z^{2n} vector: the stepwise transport of h, added at each end the walk
+    reaches.  Raises ValueError if the transport does not return to h."""
+    h = tuple(h)
+    vec = [0] * (2 * lsk.n_ends)
+    v = h
+    for end, m in region_steps(lsk, cycle):
+        v = gl2_apply(m, v)
+        vec[2 * end] += v[0]
+        vec[2 * end + 1] += v[1]
+    if v != h:
+        raise ValueError("vector is not invariant under the region monodromy")
+    return vec
 
 
 def genus(sk):
@@ -330,30 +275,24 @@ class FiberType:
         return lattices.standard_lattice("A", self.n_gon - 1)
 
 
-def region_sign(sk, orientation, region):
-    """+1 or -1 in the boundary monodromy +-(XY)^n; checks the shape."""
-    n = region.size
-    m = monodromy(sk, orientation, region.boundary_path())
-    expect = [(1, n), (0, 1)]
-    if mat_eq(m, expect):
-        return 1
-    if not mat_eq(m, mat_neg(expect)):
-        raise AssertionError(f"boundary monodromy {m} not +-(XY)^n")
-    return -1
-
-
-def fiber_types(sk, orientation):
-    """Per-region fiber type plus the (k, t) summary."""
+def fiber_types(lsk):
+    """Per-region fiber type plus the (k, t) summary of a trivalent labelled
+    skeleton with all labels Y (`generalized.from_skeleton`).  A region of
+    size n has boundary monodromy +-(XY)^n = +-[[1, n], [0, 1]]: a stable
+    A fiber for +, a D fiber for -."""
     out = {}
     t = 0
-    for reg in regions(sk):
+    for reg in regions(lsk):
         n = reg.size
-        if region_sign(sk, orientation, reg) == 1:
+        m = region_monodromy(lsk, reg.cycle)
+        if m == [(1, n), (0, 1)]:
             out[reg] = FiberType("A", max(n - 1, 0), n)
-        else:
+        elif m == [(-1, -n), (0, -1)]:
             out[reg] = FiberType("D", n + 4, n)
             t += 1
-    k = sk.n_ends // 6
+        else:
+            raise AssertionError(f"boundary monodromy {m} not +-(XY)^n")
+    k = lsk.n_ends // 6
     if (k + t) % 2:
         raise AssertionError("k + t must be even")
     return out, k, t

@@ -87,9 +87,9 @@ def pool_results(pool):
     for sk, o in pool:
         k = sk.n_ends // 6
         g = genus(sk)
-        types, k2, t = fiber_types(sk, o)
-        assert k2 == k
         lsk = generalized.from_skeleton(sk, o)
+        types, k2, t = fiber_types(lsk)
+        assert k2 == k
         hg = homology.h_gamma(lsk)
         K, gram = hg.kernel, hg.gram
         kdim = len(K[0]) if K and K[0] else 0
@@ -110,8 +110,7 @@ def pool_results(pool):
         res["radical"] &= homology.kernel_cycles_span_radical(lsk, hg, radical)
         cohom_div, disc_div = [], []
         for reg, ft in types.items():
-            group, _ = homology.region_cohomology(sk, o, reg)
-            cohom_div.extend(group.torsion)
+            cohom_div.extend(homology.region_cohomology(lsk, reg).torsion)
             disc_div.extend(disc_torsion(ft))
         res["cohom"] &= _group_canon(cohom_div) == _group_canon(disc_div)
     return res
@@ -155,7 +154,8 @@ def _det_law_holds(s):
     for tree in enumerate_marked_trees(k):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, "th1.1")
-        if homology.trivalent_invariants(sk, o)[1].det() != 5 * k - 1:
+        lsk = generalized.from_skeleton(sk, o)
+        if homology.trivalent_invariants(lsk)[1].det() != 5 * k - 1:
             return False
     return True
 
@@ -172,14 +172,18 @@ def test_criterion_6_determinant_law_s4():
     report(6, "det T = 5k-1 on the even all-stable series, s = 4", _det_law_holds(4))
 
 
+def trivalent(sk, o):
+    return homology.trivalent_invariants(generalized.from_skeleton(sk, o))
+
+
 def test_criterion_7_reorientation_invariance():
     rng = random.Random(7)
     ok = True
 
     def check(sk, o, subsets):
-        _, T0, mw0 = homology.trivalent_invariants(sk, o)
+        _, T0, mw0 = trivalent(sk, o)
         for sub in subsets:
-            _, T2, mw2 = homology.trivalent_invariants(sk, reorient(sk, o, list(sub)))
+            _, T2, mw2 = trivalent(sk, reorient(sk, o, list(sub)))
             if mw2 != mw0:
                 return False
             if not is_isometric(T2, T0):

@@ -4,8 +4,19 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ellskel import cli, exact, homology, lattices, pseudotrees, skelfile, skeletons
+from ellskel import (
+    cli,
+    exact,
+    generalized,
+    homology,
+    lattices,
+    pseudotrees,
+    skelfile,
+    skeletons,
+)
 from ellskel.cli import main, orientation_sweep
 from ellskel.generalized import from_skeleton, insert_E_fiber
 from ellskel.pseudotrees import (
@@ -18,8 +29,11 @@ from ellskel.pseudotrees import (
 from ellskel.skeletons import (
     Orientation,
     SkeletonError,
+    X,
+    Y,
     default_orientation,
     fiber_types,
+    gl2_mul,
 )
 
 from test_skeletons import PSEUDOTREE_K1, all_orientations, random_skeleton, reorient
@@ -54,7 +68,7 @@ def test_round_trip_labelled():
 def test_default_heads_for_loop_trees():
     sk, o = skelfile.parse(K1_TEXT)
     assert sk == PSEUDOTREE_K1
-    names = sorted(ft.name for ft in fiber_types(sk, o)[0].values())
+    names = sorted(ft.name for ft in fiber_types(from_skeleton(sk, o))[0].values())
     assert names == ["A~0*", "A~0*", "D~8"]
 
 
@@ -276,8 +290,9 @@ def brute_force_sweep(sk):
         if key in classes:
             continue
         oc = Orientation(key)
-        types, k, t = fiber_types(sk, oc)
-        _, T, mw = homology.trivalent_invariants(sk, oc)
+        lsk = from_skeleton(sk, oc)
+        types, k, t = fiber_types(lsk)
+        _, T, mw = homology.trivalent_invariants(lsk)
         classes[key] = {
             "heads": list(key),
             "fibers": sorted(ft.name for ft in types.values()),
@@ -468,6 +483,35 @@ def test_one_fiber_types_per_analysis(tmp_path, capsys, monkeypatch):
     assert code == 0 and calls() - before == len(json.loads(out)["results"]) == 18
 
 
+def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
+    """An oriented trivalent skeleton becomes its all-Y labelled skeleton
+    once: per analysis, per sweep class, per series tree and per
+    enumerated tree."""
+    bindings = [count_calls(monkeypatch, module, "from_skeleton")
+                for module in (cli, generalized, homology, pseudotrees)
+                if hasattr(module, "from_skeleton")]
+
+    def run(*argv):
+        for calls in bindings:
+            calls.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return sum(map(len, bindings)), json.loads(out)
+
+    rng = random.Random(15)
+    for n_vertices in (2, 4, 6):
+        sk = random_skeleton(rng, n_vertices)
+        f = tmp_path / "sk.skel"
+        f.write_text(skelfile.format_skeleton(sk, default_orientation(sk)))
+        assert run("analyze", str(f), "--json")[0] == 1
+        n, doc = run("analyze", str(f), "--json", "--orientation-sweep")
+        assert n == 1 + len(doc["orientation_sweep"])
+    n, doc = run("verify-series", "all", "--s-max", "2", "--json")
+    assert n == len(doc["results"]) == 18
+    n, doc = run("enumerate", "4", "--json")
+    assert n == doc["count"] == 5
+
+
 def test_one_short_vector_enumeration_per_series_level(capsys, monkeypatch):
     """verify_series tests every tree of a level against one expected
     lattice, whose short vectors are enumerated once for the level."""
@@ -586,6 +630,61 @@ def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):
     run("enumerate", "4", "--dedup", "--json")
     assert len(shapes) == 5
     assert iso_kernels == []
+
+
+# generators of det-1 labels for the fuzz below: X, Y, the two elementary
+# matrices and -I
+_LABEL_GENERATORS = (X, Y, ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((-1, 0), (0, -1)))
+_FUZZ_CHARS = "0123456789 -()\n:#abdehlnopsx"
+
+
+@st.composite
+def mutated_skeleton_text(draw):
+    """A valid skeleton file, sometimes labelled, then mutated a few times:
+    characters replaced or deleted, lines duplicated or dropped."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sk = random_skeleton(rng, draw(st.sampled_from([2, 4])))
+    o = Orientation(tuple(rng.choice(e) for e in sk.edges))
+    lines = skelfile.format_skeleton(sk, o).splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 2))):
+        word = draw(st.lists(st.sampled_from(_LABEL_GENERATORS), max_size=5))
+        (a, b), (c, d) = gl2_mul(*word)
+        edge = draw(st.integers(0, len(sk.edges) - 1))
+        lines.append(f"label: {edge} {a} {b} {c} {d}\n")
+    for op, pos, char in draw(st.lists(
+            st.tuples(st.sampled_from("rdxy"), st.integers(0, 10**6),
+                      st.sampled_from(_FUZZ_CHARS)), max_size=3)):
+        text = "".join(lines)
+        i = pos % (len(text) or 1)
+        if op == "r":
+            text = text[:i] + char + text[i + 1:]
+        elif op == "d":
+            text = text[:i] + text[i + 1 + pos % 3:]
+        lines = text.splitlines(keepends=True) or ["\n"]
+        j = pos % len(lines)
+        if op == "x":
+            lines.insert(j, lines[j])
+        elif op == "y":
+            del lines[j]
+    return "".join(lines)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_skeleton_text())
+def test_analyze_fuzz_exit_codes(tmp_path, capsys, text):
+    """Any mutated skeleton file: `parse` raises only ParseError or
+    SkeletonError, and `analyze` ends with an exit code 0-4 and no
+    traceback, with and without --orientation-sweep."""
+    try:
+        skelfile.parse(text)
+    except (skelfile.ParseError, SkeletonError):
+        pass
+    f = tmp_path / "fuzz.skel"
+    f.write_text(text)
+    for extra in ([], ["--orientation-sweep"]):
+        code, _, err = run_cli(capsys, "analyze", str(f), "--json", *extra)
+        assert code in range(5) and "Traceback" not in err
 
 
 def test_readme_library_example(capsys):

@@ -9,7 +9,6 @@ from ellskel.generalized import (
     insert_E_fiber,
     invariant_vector,
     parabolic_conjugator,
-    region_monodromy,
 )
 from ellskel.homology import (
     h_gamma,
@@ -22,7 +21,15 @@ from ellskel.pseudotrees import (
     orientation_for_series,
     tree_to_skeleton,
 )
-from ellskel.skeletons import SkeletonError, X, Y, default_orientation, gl2_mul, regions
+from ellskel.skeletons import (
+    SkeletonError,
+    X,
+    Y,
+    default_orientation,
+    gl2_mul,
+    region_monodromy,
+    regions,
+)
 from ellskel.skelfile import parse
 
 from test_homology import through_expansion

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from ellskel import homology
+from ellskel.generalized import from_skeleton
 from ellskel.lattices import is_isometric
 from ellskel.pseudotrees import (
     SERIES,
@@ -143,7 +144,7 @@ def test_fiber_lattice_det_closed_form():
             for tree in enumerate_marked_trees(series_k(series, s)):
                 sk, leaves = tree_to_skeleton(tree)
                 o = orientation_for_series(sk, leaves, series)
-                types, _, _ = fiber_types(sk, o)
+                types, _, _ = fiber_types(from_skeleton(sk, o))
                 want = 1
                 for ft in types.values():
                     want *= ft.root_lattice().det()
@@ -167,13 +168,13 @@ def test_tree_edge_orientation_is_irrelevant():
         loop_ends = {lf.loop_tail for lf in leaves} | {lf.loop_head for lf in leaves}
         for series in ("th1.2", "th1.4"):
             o = orientation_for_series(sk, leaves, series)
-            _, T0, mw0 = homology.trivalent_invariants(sk, o)
+            _, T0, mw0 = homology.trivalent_invariants(from_skeleton(sk, o))
             heads = list(o.heads)
             for i, (a, b) in enumerate(sk.edges):
                 if a not in loop_ends and rng.random() < 0.5:
                     heads[i] = a + b - heads[i]
             o2 = Orientation(tuple(heads))
-            _, T2, mw2 = homology.trivalent_invariants(sk, o2)
+            _, T2, mw2 = homology.trivalent_invariants(from_skeleton(sk, o2))
             assert is_isometric(T0, T2)
             assert mw2 == mw0
 

@@ -3,17 +3,13 @@ from itertools import product
 
 import pytest
 
-from ellskel.exact import identity, mat_eq, mat_mul, mat_neg
+from ellskel.exact import identity, mat_eq, mat_mul
+from ellskel.generalized import from_skeleton, insert_E_fiber
 from ellskel.skeletons import (
-    NX,
-    NX_INV,
-    OP,
+    NEG_X,
     Orientation,
-    Path,
     Skeleton,
     SkeletonError,
-    XINV,
-    YINV,
     X,
     Y,
     default_orientation,
@@ -22,10 +18,9 @@ from ellskel.skeletons import (
     genus,
     gl2_apply,
     gl2_mul,
-    monodromy,
-    parallel_transport,
+    region_monodromy,
+    region_steps,
     regions,
-    step_matrix,
 )
 
 
@@ -88,11 +83,14 @@ def reorient(sk, orientation, vertex_subset):
     return Orientation(tuple(flipped))
 
 
+NEG_I = ((-1, 0), (0, -1))
+
+
 def test_generator_identities():
     assert mat_eq(gl2_mul(X, X, X), identity(2))
-    assert mat_eq(gl2_mul(Y, Y), mat_neg(identity(2)))
+    assert mat_eq(gl2_mul(Y, Y), NEG_I)
     assert gl2_mul(X, Y) == [(1, 1), (0, 1)]
-    assert mat_eq(gl2_mul(X, XINV), identity(2))
+    assert gl2_mul(NEG_I, X) == list(NEG_X)
     # X cycles (a, b) -> (c, a) -> (b, c) with c = -a - b
     assert gl2_apply(X, (1, 0)) == (-1, -1)
     assert gl2_apply(X, (0, 1)) == (1, 0)
@@ -135,119 +133,127 @@ def test_region_count_identity():
         assert len(regions(sk)) == k + 2 - 2 * genus(sk)
 
 
-def test_path_validation():
-    Path(0, (OP, NX, OP, NX_INV))
-    with pytest.raises(ValueError):
-        Path(0, (OP, OP))
-    with pytest.raises(ValueError):
-        Path(0, (NX, NX_INV))
-    with pytest.raises(ValueError):
-        Path(0, ("bogus",))
+def k1_all_A_orientation():
+    """Heads of PSEUDOTREE_K1 that make both monogons stable."""
+    sk = PSEUDOTREE_K1
+    heads = []
+    for a, b in sk.edges:
+        heads.append(2 if (a, b) == (1, 2) else 5 if (a, b) == (4, 5) else a)
+    return Orientation(tuple(heads))
 
 
 def test_monodromy_empty_and_region():
-    o = default_orientation(THETA_TORUS)
-    assert mat_eq(monodromy(THETA_TORUS, o, Path(0, ())), identity(2))
     for sk in (THETA_TORUS, THETA_PLANAR, PSEUDOTREE_K1):
-        o = default_orientation(sk)
-        for reg in regions(sk):
-            m = monodromy(sk, o, reg.boundary_path())
+        lsk = from_skeleton(sk, default_orientation(sk))
+        for reg in regions(lsk):
+            m = region_monodromy(lsk, reg.cycle)
             n = reg.size
             assert m in ([(1, n), (0, 1)], [(-1, -n), (0, -1)])
 
 
+def oracle_walk(lsk, cycle):
+    """(end reached, lift) per step around a region, with every lift built
+    here from X and the edge labels through mat_mul: -L onto the head of an
+    edge labelled L and -L^-1 onto its tail, -X for an nx^-1 step."""
+    def inverse(L):
+        (a, b), (c, d) = L
+        inv = [[d, -b], [-c, a]]
+        assert mat_mul([list(r) for r in L], inv) == identity(2)
+        return inv
+
+    onto = {}
+    for (a, b), h, L in zip(lsk.edges, lsk.heads, lsk.labels):
+        for end in (a, b):
+            M = [list(r) for r in L] if end == h else inverse(L)
+            onto[end] = mat_mul([list(r) for r in NEG_I], M)
+    neg_x = mat_mul([list(r) for r in NEG_I], [list(r) for r in X])
+    steps = []
+    cur = cycle[0]
+    for _ in cycle:
+        cur = lsk.op[cur]
+        steps.append((cur, onto[cur]))
+        cur = lsk.nx.index(cur)
+        steps.append((cur, neg_x))
+    assert cur == cycle[0]
+    return onto, steps
+
+
+def _random_oriented(rng):
+    sk = random_skeleton(rng, rng.choice([2, 4]))
+    return sk, Orientation(tuple(rng.choice(e) for e in sk.edges))
+
+
 def test_monodromy_matches_step_products():
-    """The inline 2x2 product against mat_mul over the step lifts, built
-    here from the generators, on random reduced words with all three
-    step kinds."""
-    lifts = {NX: mat_neg(gl2_mul(XINV)), NX_INV: mat_neg(gl2_mul(X))}
+    """The lift table, the walk and the inline 2x2 product of the region
+    monodromy against lifts built from the generators, on random oriented
+    skeletons and with every kind of spliced fiber."""
     rng = random.Random(29)
-    seen = set()
+    kinds = [("A0**", None), ("E6", None), ("A1*", None), ("E7", None),
+             ("A2*", 0), ("A2*", 1), ("E8", 0), ("E8", 1)]
+    skeletons = []
     for _ in range(40):
         sk = random_skeleton(rng, rng.choice([2, 4, 6]))
         o = rng.choice(list(all_orientations(sk)))
-        word = []
-        for _ in range(rng.randint(0, 9)):
-            word += [OP, rng.choice((NX, NX_INV))]
-        if rng.random() < 0.5:
-            word = word[1:]
-        path = Path(rng.randrange(sk.n_ends), tuple(word))
-        want = identity(2)
-        for step, end in zip(path.word, path.ends(sk)):
-            if step == OP:
-                lift = mat_neg(gl2_mul(Y if o.is_head(sk.op[end]) else YINV))
-            else:
-                lift = lifts[step]
-            assert [tuple(r) for r in lift] == list(step_matrix(sk, o, step, end))
-            want = mat_mul(lift, want)
-            seen.add(step)
-        assert monodromy(sk, o, path) == [tuple(r) for r in want]
-    assert seen == {OP, NX, NX_INV}
+        skeletons.append(from_skeleton(sk, o))
+    for kind, variant in kinds:
+        base = from_skeleton(*_random_oriented(rng))
+        edge = rng.randrange(len(base.edges))
+        skeletons.append(insert_E_fiber(base, edge, kind, variant))
+    labels = set()
+    for lsk in skeletons:
+        for reg in regions(lsk):
+            onto, steps = oracle_walk(lsk, reg.cycle)
+            assert [tuple(map(tuple, onto[e])) for e in range(lsk.n_ends)] == list(
+                lsk.lifts)
+            got = list(region_steps(lsk, reg.cycle))
+            assert [(e, [list(r) for r in m]) for e, m in got] == steps
+            want = identity(2)
+            for _, lift in steps:
+                want = mat_mul(lift, want)
+            assert region_monodromy(lsk, reg.cycle) == [tuple(r) for r in want]
+        labels.update(lsk.labels)
+    assert len(labels) == 5  # Y and the four labels of the spliced fibers
 
 
 def test_monogon_orientation_sign():
     # loop edge (1,2) of the k=1 pseudo-tree: head at 2 makes the monogon +
-    sk = PSEUDOTREE_K1
-    heads = []
-    for a, b in sk.edges:
-        heads.append(2 if (a, b) == (1, 2) else 5 if (a, b) == (4, 5) else a)
-    o = Orientation(tuple(heads))
-    reg = next(r for r in regions(sk) if r.cycle == (1,))
-    assert monodromy(sk, o, reg.boundary_path()) == [(1, 1), (0, 1)]
-
-
-def test_parallel_transport():
-    sk = THETA_TORUS
-    o = default_orientation(sk)
-    chain = parallel_transport(sk, o, Path(0, (NX,)), (1, 0))
-    assert chain[0] == (0, (1, 0))
-    assert chain[1][0] == sk.nx[0]
-    assert chain[1][1] == (0, -1)  # -X^-1 applied to a
-    zero = parallel_transport(sk, o, Path(0, (NX, OP)), (0, 0))
-    assert all(h == (0, 0) for _, h in zero)
+    lsk = from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation())
+    reg = next(r for r in regions(lsk) if r.cycle == (1,))
+    assert region_monodromy(lsk, reg.cycle) == [(1, 1), (0, 1)]
 
 
 def test_invariant_transport_around_stable_region():
-    sk = PSEUDOTREE_K1
-    heads = []
-    for a, b in sk.edges:
-        heads.append(2 if (a, b) == (1, 2) else 5 if (a, b) == (4, 5) else a)
-    o = Orientation(tuple(heads))
-    for reg in regions(sk):
-        m = monodromy(sk, o, reg.boundary_path())
+    lsk = from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation())
+    stable = 0
+    for reg in regions(lsk):
+        m = region_monodromy(lsk, reg.cycle)
         if m[0][0] == 1:  # stable region, a is invariant
+            stable += 1
             assert gl2_apply(m, (1, 0)) == (1, 0)
-            chain = parallel_transport(sk, o, reg.boundary_path(), (1, 0))
-            assert chain[-1] == chain[0]
+            h = (1, 0)
+            for _, lift in region_steps(lsk, reg.cycle):
+                h = gl2_apply(lift, h)
+            assert h == (1, 0)
+    assert stable == 2
 
 
 def test_fundamental_cycle():
-    sk = PSEUDOTREE_K1
-    heads = []
-    for a, b in sk.edges:
-        heads.append(2 if (a, b) == (1, 2) else 5 if (a, b) == (4, 5) else a)
-    o = Orientation(tuple(heads))
-    reg = next(r for r in regions(sk) if r.cycle == (1,))
-    v = fundamental_cycle(sk, o, reg.boundary_path(), (1, 0))
-    assert any(v)
-    assert len(v) == 12
-    # trivial loop gives the zero chain
-    assert fundamental_cycle(sk, o, Path(0, ()), (1, 0)) == [0] * 12
+    lsk = from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation())
+    reg = next(r for r in regions(lsk) if r.cycle == (1,))
+    v = fundamental_cycle(lsk, reg.cycle, (1, 0))
+    # the walk reaches end 2 by op, carrying -Y a = -b, and end 1 by nx^-1,
+    # carrying -X (-b) = a
+    assert v == [0, 0, 1, 0, 0, -1] + [0] * 6
     # non-invariant vector is rejected
-    bad = next(r for r in regions(sk) if r.size == 4)
-    m = monodromy(sk, o, bad.boundary_path())
-    if gl2_apply(m, (1, 0)) != (1, 0):
-        with pytest.raises(ValueError):
-            fundamental_cycle(sk, o, bad.boundary_path(), (1, 0))
+    bad = next(r for r in regions(lsk) if r.size == 4)
+    m = region_monodromy(lsk, bad.cycle)
+    assert gl2_apply(m, (1, 0)) != (1, 0)
+    with pytest.raises(ValueError, match="invariant"):
+        fundamental_cycle(lsk, bad.cycle, (1, 0))
 
 
 def test_fiber_types_k1():
-    sk = PSEUDOTREE_K1
-    heads = []
-    for a, b in sk.edges:
-        heads.append(2 if (a, b) == (1, 2) else 5 if (a, b) == (4, 5) else a)
-    o = Orientation(tuple(heads))
-    types, k, t = fiber_types(sk, o)
+    types, k, t = fiber_types(from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation()))
     names = sorted(ft.name for ft in types.values())
     assert names == ["A~0*", "A~0*", "D~8"]
     assert (k, t) == (1, 1)
@@ -261,7 +267,7 @@ def test_fiber_types_flip_one_loop():
     for a, b in sk.edges:
         heads.append(1 if (a, b) == (1, 2) else 5 if (a, b) == (4, 5) else a)
     o = Orientation(tuple(heads))
-    types, k, t = fiber_types(sk, o)
+    types, k, t = fiber_types(from_skeleton(sk, o))
     names = sorted(ft.name for ft in types.values())
     assert "D~5" in names
 
@@ -269,7 +275,7 @@ def test_fiber_types_flip_one_loop():
 def test_k_plus_t_even_orientation_sweep():
     for sk in (THETA_TORUS, THETA_PLANAR, PSEUDOTREE_K1):
         for o in all_orientations(sk):
-            _, k, t = fiber_types(sk, o)
+            _, k, t = fiber_types(from_skeleton(sk, o))
             assert (k + t) % 2 == 0
 
 
@@ -278,7 +284,7 @@ def test_milnor_identity_randomized():
     for _ in range(25):
         sk = random_skeleton(rng, rng.choice([2, 4]))
         o = default_orientation(sk)
-        types, k, t = fiber_types(sk, o)
+        types, k, t = fiber_types(from_skeleton(sk, o))
         g = genus(sk)
         assert sum(ft.milnor for ft in types.values()) == 2 * g + 5 * k + 5 * t - 2
 
@@ -297,11 +303,12 @@ def test_reorient_preserves_fiber_types():
     for _ in range(20):
         sk = random_skeleton(rng, 2)
         o = default_orientation(sk)
-        base = sorted(ft.name for ft in fiber_types(sk, o)[0].values())
+        base = sorted(ft.name for ft in fiber_types(from_skeleton(sk, o))[0].values())
         nv = sk.n_ends // 3
         subset = [v for v in range(nv) if rng.random() < 0.5]
         o2 = reorient(sk, o, subset)
-        assert sorted(ft.name for ft in fiber_types(sk, o2)[0].values()) == base
+        names = fiber_types(from_skeleton(sk, o2))[0].values()
+        assert sorted(ft.name for ft in names) == base
 
 
 def test_vertex_of_index():
