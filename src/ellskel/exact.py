@@ -9,7 +9,7 @@ Conventions:
   by unimodular transforms, ``H = U*M`` and ``S = U*M*V``.
 * ``integer_kernel(M)`` returns a matrix whose *columns* form a basis of
   ``{x : M x = 0}``; its transpose is in Hermite form, and
-  ``kernel_coordinates`` solves against such a basis.
+  ``kernel_coordinates`` solves sparse vectors against such a basis.
 * ``cokernel_invariants(M)`` describes ``Z^cols / rowspan(M)``, i.e. the
   cokernel of the map sending a row vector ``x`` to ``x*M``.
 
@@ -398,25 +398,47 @@ def kernel_and_cokernel(rows, n):
     return _kernel(n, pivots, rest, residual), _cokernel(rest, residual)
 
 
-def kernel_coordinates(K, v):
-    """The integer x with K x = v, for a basis K from `integer_kernel`.
+def kernel_coordinates(K, vectors):
+    """The integer x with K x = v for each sparse v ({index: entry}), for a
+    basis K from `integer_kernel`; each x is sparse too.
 
     K^t is in Hermite form, so the rows of K at the pivots of its columns
-    are lower triangular and x follows by forward substitution on them.
-    Raises ValueError when v is not an integer combination of the columns.
+    are lower triangular and x follows by forward substitution on them;
+    those rows and the columns of K are read once for all the vectors.
+    Raises ValueError when some v is not an integer combination of the
+    columns.
     """
-    x = []
+    d = len(K[0]) if K else 0
+    pivots = []  # (row, pivot, [(column, entry) left of the pivot]) per column
     i = 0
-    for j in range(len(K[0]) if K else 0):
+    for j in range(d):
         while K[i][j] == 0:  # the pivot row of column j
             i += 1
-        q, r = divmod(v[i] - sum(map(mul, K[i][:j], x)), K[i][j])
-        if r:
-            raise ValueError("no integer solution")
-        x.append(q)
-    if mat_vec(K, x) != list(v):
-        raise ValueError("vector is not in the span of the columns")
-    return x
+        pivots.append((i, K[i][j], [(c, y) for c, y in enumerate(K[i][:j]) if y]))
+    cols = [[] for _ in range(d)]
+    for i, row in enumerate(K):
+        for j in compress(range(d), row):
+            cols[j].append((i, row[j]))
+    out = []
+    for v in vectors:
+        x = {}
+        for j, (i, p, left) in enumerate(pivots):
+            t = v.get(i, 0)
+            if left:
+                t -= sum(y * x[c] for c, y in left if c in x)
+            if t:
+                q, r = divmod(t, p)
+                if r:
+                    raise ValueError("no integer solution")
+                x[j] = q
+        Kx = defaultdict(int)
+        for j, q in x.items():
+            for i, y in cols[j]:
+                Kx[i] += q * y
+        if {i: y for i, y in Kx.items() if y} != {i: y for i, y in v.items() if y}:
+            raise ValueError("vector is not in the span of the columns")
+        out.append(x)
+    return out
 
 
 def bareiss(M):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .exact import identity, integer_kernel, mat_mul
+from .exact import identity, mat_mul
 from .skeletons import (
     NEG_X,
     Skeleton,
@@ -242,12 +242,18 @@ def classify_monodromy(m):
 
 
 def invariant_vector(m):
-    """A primitive invariant vector of m, or None."""
-    A = [[m[0][0] - 1, m[0][1]], [m[1][0], m[1][1] - 1]]
-    K = integer_kernel(A)
-    if not (K and K[0]):
+    """A primitive invariant vector of m, or None: the kernel of m - I as
+    `integer_kernel` gives it, with its first nonzero entry positive, and
+    (1, 0) for m = I."""
+    (a, b), (c, d) = (m[0][0] - 1, m[0][1]), (m[1][0], m[1][1] - 1)
+    if a * d != b * c:
         return None
-    v = (K[0][0], K[1][0])
+    if a == b == 0:
+        a, b = c, d  # a nonzero row of m - I, or none at all
+    g = gcd(a, b)
+    v = (b // g, -a // g) if g else (1, 0)
+    if v[0] < 0 or v[0] == 0 and v[1] < 0:
+        v = (-v[0], -v[1])
     if gl2_apply(m, v) != v:
         raise AssertionError(f"{v} is not invariant under {m}")
     return v

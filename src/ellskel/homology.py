@@ -20,8 +20,15 @@ radical), and the cokernel of D yields the Mordell-Weil torsion.
 A plain oriented trivalent skeleton enters as the all-Y labelled skeleton
 `generalized.from_skeleton(sk, o)`, where the vertex relation is the
 tripod relation h_m1 + X h_m2 + X² h_m3 = 0 and the form is the tripod
-form; `trivalent_invariants` is that path.  The region cohomology reads
-the same lifts through the region walk `skeletons.region_steps`.
+form; `trivalent_invariants` is that path.  There the radical is spanned
+by the fundamental cycles of the regions whose monodromy fixes a vector
+(`cycle_radical_and_quotient`), and no kernel of the Gram matrix is
+taken; checks prove the span is the whole radical.  On labelled input
+the cycles need not span it, so the radical is the kernel of the Gram
+matrix (`transcendental_lattice`), and `kernel_cycles_span_radical`
+reports whether the cycles span it up to finite index.  The region
+cohomology reads the same lifts through the region walk
+`skeletons.region_steps`.
 
 Forms are kept as integer matrices scaled by 2 lcm(valencies) (6 on
 trivalent input); restriction to the kernel must land in integers.
@@ -31,22 +38,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import lcm
 from typing import NamedTuple
 
 from .exact import (
     AbelianInvariants,
     cokernel_invariants,
-    identity,
-    integer_kernel,
+    column_lattice_hnf,
     kernel_and_cokernel,
     kernel_coordinates,
     sparse_cokernel,
     sparse_transpose,
-    transpose,
 )
 from .generalized import kernel_cycles
-from .lattices import IntLattice, radical_and_quotient
+from .lattices import IntLattice, quotient_by, radical_and_quotient
 from .skeletons import (
     X,
     genus,
@@ -179,7 +185,8 @@ def h_gamma(lsk):
 
 
 def transcendental_lattice(hg):
-    """(radical basis columns, quotient T) of H_Gamma's Gram matrix."""
+    """(radical basis columns, quotient T) of H_Gamma's Gram matrix, the
+    radical taken as the kernel of the Gram matrix."""
     return radical_and_quotient(IntLattice(hg.gram))
 
 
@@ -192,49 +199,86 @@ def mordell_weil(hg):
     return AbelianInvariants(0, hg.torsion)
 
 
+def _edge_values(lsk, cycles):
+    """The sparse edge values of end-coordinate cycles; an edge's value is
+    its smaller end's."""
+    edge_of = {a: e for e, (a, _) in enumerate(lsk.edges)}
+    out = []
+    for c in cycles:
+        u = {}
+        for i in compress(range(len(c)), c):
+            a, t = divmod(i, 2)
+            if a in edge_of:
+                u[2 * edge_of[a] + t] = c[i]
+        out.append(u)
+    return out
+
+
+def _in_radical(G, x):
+    """G x = 0 for the sparse x, summed over its nonzeros; G is symmetric,
+    so its rows are its columns."""
+    acc = [0] * len(G)
+    for j, y in x.items():
+        acc = [a + y * g for a, g in zip(acc, G[j])]
+    return not any(acc)
+
+
+def cycle_radical_and_quotient(lsk, hg):
+    """(radical basis columns, quotient T) of H_Gamma's Gram matrix, the
+    radical spanned by the region cycles of `kernel_cycles`.
+
+    The basis is the canonical column HNF of the cycles' kernel
+    coordinates, as `integer_kernel` would give it.  Three checks prove
+    that the span is the whole radical: each cycle lies in it, the span
+    is saturated, and the quotient is nondegenerate (`quotient_by`).
+    Without cycles the Gram matrix itself must be nondegenerate.
+    """
+    G = hg.gram
+    coords = kernel_coordinates(hg.kernel, _edge_values(lsk, kernel_cycles(lsk)))
+    if not all(_in_radical(G, x) for x in coords):
+        raise AssertionError("a region cycle is not in the radical")
+    d = len(G)
+    radical = column_lattice_hnf([[x.get(j, 0) for x in coords] for j in range(d)])
+    if radical:
+        return radical, quotient_by(G, radical)
+    T = IntLattice(G)
+    if T.det() == 0:
+        raise AssertionError("the form is degenerate, but no region cycle is")
+    return [[] for _ in range(d)], T
+
+
 def trivalent_invariants(lsk):
     """(H_Gamma, T, MW) of an oriented trivalent skeleton, given as its
     all-Y labelled skeleton; T is definite."""
     hg = h_gamma(lsk)
-    _, T = transcendental_lattice(hg)
+    _, T = cycle_radical_and_quotient(lsk, hg)
     if T.rank and not T.is_positive_definite():
         raise AssertionError("transcendental lattice is not positive definite")
     return hg, T, mordell_weil(hg)
 
 
-def saturate_columns(C):
-    """Saturation of the column span inside the ambient free module."""
-    m = len(C)
-    cols = len(C[0]) if C and C[0] else 0
-    if cols == 0:
-        return [[] for _ in range(m)]
-    N = integer_kernel(transpose(C))
-    if not (N and N[0]):
-        # full column span
-        return identity(m)
-    return integer_kernel(transpose(N))
-
-
 def kernel_cycles_span_radical(lsk, hg, radical):
-    """The invariant-vector region cycles saturate to the radical.
+    """The invariant-vector region cycles span the radical over Q: their
+    saturation is the radical.
 
-    `radical` is the basis that `transcendental_lattice(hg)` returned.  It
-    comes from `integer_kernel`, so it is saturated and canonical, and so
-    is the saturation of the cycles: equal lattices have equal bases.
+    `radical` is the basis that `transcendental_lattice(hg)` returned.
+    The cycles must satisfy the relations; they then span the radical up
+    to finite index exactly when each lies in it and their kernel
+    coordinates have its rank, read off the free rank of their cokernel.
     """
     cycles = kernel_cycles(lsk)
-    if not cycles:
-        return not (radical and radical[0])
-    ends = _end_maps(lsk)
-    coords = []
-    for c in cycles:  # end values; an edge's value is its smaller end's
-        h = [tuple(c[2 * a:2 * a + 2]) for a in range(lsk.n_ends)]
-        u = [x for a, _ in lsk.edges for x in h[a]]
-        if (any(gl2_apply(ends[b][1], h[a]) != h[b] for a, b in lsk.edges)
-                or any(sum(v * u[j] for j, v in row.items()) for row in hg.relations)):
+    values = _edge_values(lsk, cycles)
+    for c, u in zip(cycles, values):
+        h = [(c[2 * a], c[2 * a + 1]) for a in range(lsk.n_ends)]
+        if (any(gl2_apply(lsk.lifts[b], h[a]) != h[b] for a, b in lsk.edges)
+                or any(sum(v * u.get(j, 0) for j, v in row.items()) for row in hg.relations)):
             raise AssertionError("cycle does not satisfy the relations")
-        coords.append(kernel_coordinates(hg.kernel, u))
-    return saturate_columns(transpose(coords)) == radical
+    coords = kernel_coordinates(hg.kernel, values)
+    if not all(_in_radical(hg.gram, x) for x in coords):
+        return False
+    d = len(hg.gram)
+    rank = d - sparse_cokernel(coords, d).free_rank
+    return rank == (len(radical[0]) if radical else 0)
 
 
 def region_cohomology(lsk, region):

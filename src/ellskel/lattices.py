@@ -136,18 +136,29 @@ def radical_and_quotient(L):
         return [[] for _ in range(n)], L
     G = L.gram_rows()
     K = integer_kernel(G)
-    r = len(K[0])
+    return K, quotient_by(G, K)
+
+
+def quotient_by(G, K):
+    """The form G restricted to a complement of the span of the columns of
+    K, which must be saturated and leave a nondegenerate quotient.
+
+    The complement is the last n - r columns of U^-1 for the Smith form
+    U K V of K; a span of rank r < n that lies in the radical of G is the
+    whole radical exactly when both checks pass.
+    """
+    n, r = len(G), len(K[0])
     S, U, V = smith_normal_form(K)
     if not all(S[i][i] == 1 for i in range(r)):
-        raise AssertionError("kernel basis not saturated")
+        raise AssertionError("radical basis not saturated")
     Uinv = unimodular_inverse(U)
-    # comp^t G comp over the nonzeros of comp, the last n - r columns of U^-1
+    # comp^t G comp over the nonzeros of comp
     comp = [[(i, Uinv[i][j]) for i in range(n) if Uinv[i][j]] for j in range(r, n)]
     Gc = [[sum(x * G[i][k] for i, x in c) for k in range(n)] for c in comp]
     Q = IntLattice([[sum(x * gc[i] for i, x in c) for gc in Gc] for c in comp])
     if Q.det() == 0:
         raise AssertionError("quotient by the radical is degenerate")
-    return K, Q
+    return Q
 
 
 def orthogonal_complement(L, v):

@@ -36,7 +36,13 @@ from ellskel.skeletons import (
     gl2_mul,
 )
 
-from test_skeletons import PSEUDOTREE_K1, all_orientations, random_skeleton, reorient
+from test_skeletons import (
+    PSEUDOTREE_K1,
+    all_orientations,
+    perm_from_cycles,
+    random_skeleton,
+    reorient,
+)
 
 K1_TEXT = """\
 ends: 6
@@ -257,6 +263,16 @@ def test_analyze_chain_k128(tmp_path, capsys):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["invariants"]["k"] == 128
+    assert doc["invariants"]["rank_T"] == doc["transcendental"]["rank"]
+
+
+@pytest.mark.slow
+def test_analyze_chain_k256(tmp_path, capsys):
+    """The k = 256 chain tree, end to end; no time bound."""
+    code, out, err = run_cli(capsys, "analyze", str(chain_file(tmp_path, 256)), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["invariants"]["k"] == 256
     assert doc["invariants"]["rank_T"] == doc["transcendental"]["rank"]
 
 
@@ -552,12 +568,109 @@ def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):
     # the radical: one kernel of the Gram, from either module
     gram_calls = [count_calls(monkeypatch, module, "integer_kernel",
                               lambda M: M == gram)
-                  for module in (homology, lattices)]
+                  for module in (homology, lattices)
+                  if hasattr(module, "integer_kernel")]
     code, out, err = run_cli(capsys, "analyze", str(f), "--json")
     assert code == 0, err
     assert json.loads(out)["kernel_cycles_span_radical"] is True
     assert (len(h_calls), len(relation_calls), len(kernel_calls)) == (1, 1, 1)
     assert sum(map(len, gram_calls)) == 1
+
+
+def test_no_gram_kernel_on_trivalent_paths(tmp_path, capsys, monkeypatch):
+    """Trivalent analyses, sweep classes, series trees and enumerated trees
+    take the radical from the region cycles: no `integer_kernel` call at
+    all, except inside `expected_lattice`, which builds a series level's
+    closed-form lattice once."""
+    calls, expected = [], []
+    inside = []
+    for module in (exact, generalized, homology, lattices, pseudotrees):
+        if hasattr(module, "integer_kernel"):
+            original = getattr(module, "integer_kernel")
+
+            def spy(M, original=original):
+                (expected if inside else calls).append(M)
+                return original(M)
+
+            monkeypatch.setattr(module, "integer_kernel", spy)
+    expected_lattice = pseudotrees.expected_lattice
+
+    def spy_expected(*args):
+        inside.append(True)
+        try:
+            return expected_lattice(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(pseudotrees, "expected_lattice", spy_expected)
+
+    def run(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert calls == []
+        return json.loads(out)
+
+    rng = random.Random(16)
+    files = [chain_file(tmp_path, 8)]
+    for n_vertices in (2, 4, 6):
+        sk = random_skeleton(rng, n_vertices)
+        f = tmp_path / f"sk{n_vertices}.skel"
+        f.write_text(skelfile.format_skeleton(sk, default_orientation(sk)))
+        files.append(f)
+    for f in files:
+        run("analyze", str(f), "--json")
+        doc = run("analyze", str(f), "--json", "--orientation-sweep")
+        assert doc["orientation_sweep"]
+    assert len(run("verify-series", "all", "--s-max", "3", "--json")["results"]) == 130
+    assert expected  # the spies see the closed-form lattices' kernels
+    assert run("enumerate", "5", "--dedup", "--json")["count"] == 14
+
+
+def test_region_cycle_mutations_exit_4(tmp_path, capsys, monkeypatch):
+    """Each check on the cycles' span fails on its own mutation, and
+    `analyze` ends with exit code 4: every region cycle left out (the form
+    is degenerate) or any one of them (the quotient is degenerate), one
+    cycle's coordinates doubled (the span is not saturated) or replaced by
+    a basis vector off the radical."""
+    seen = Counter()
+    rng = random.Random(17)
+    files = [chain_file(tmp_path, 3), chain_file(tmp_path, 4)]
+    kernel_cycles = homology.kernel_cycles
+    while len(files) < 5:  # random skeletons that have region cycles
+        sk = random_skeleton(rng, rng.choice([2, 4, 6]))
+        o = Orientation(tuple(rng.choice(e) for e in sk.edges))
+        if kernel_cycles(from_skeleton(sk, o)):
+            files.append(tmp_path / f"sk{len(files)}.skel")
+            files[-1].write_text(skelfile.format_skeleton(sk, o))
+    coordinates = homology.kernel_coordinates
+
+    def analyze_with(f, name, spy, message):
+        monkeypatch.setattr(homology, name, spy)
+        code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+        monkeypatch.undo()
+        assert code == 4 and out == "" and message in err, err
+        seen[message] += 1
+
+    for f in files:
+        code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+        assert code == 0, err
+        lsk = from_skeleton(*skelfile.parse(f.read_text()))
+        off = [{j: 1} for j, row in enumerate(homology.h_gamma(lsk).gram) if any(row)]
+        analyze_with(f, "kernel_cycles", lambda lsk: [], "but no region cycle is")
+        for drop in range(len(kernel_cycles(lsk))):
+            analyze_with(f, "kernel_cycles",
+                         lambda lsk, drop=drop: kernel_cycles(lsk)[:drop]
+                         + kernel_cycles(lsk)[drop + 1:],
+                         "quotient by the radical is degenerate")
+        analyze_with(f, "kernel_coordinates",
+                     lambda K, vs: [{j: 2 * y for j, y in x.items()} if i == 0 else x
+                                    for i, x in enumerate(coordinates(K, vs))],
+                     "not saturated")
+        if off:  # a form that is not zero
+            analyze_with(f, "kernel_coordinates",
+                         lambda K, vs: off[:1] + coordinates(K, vs)[1:],
+                         "not in the radical")
+    assert len(seen) == 4 and min(seen.values()) >= 2, seen
 
 
 def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):
@@ -647,10 +760,19 @@ def mutated_skeleton_text(draw):
     o = Orientation(tuple(rng.choice(e) for e in sk.edges))
     lines = skelfile.format_skeleton(sk, o).splitlines(keepends=True)
     for _ in range(draw(st.integers(0, 2))):
-        word = draw(st.lists(st.sampled_from(_LABEL_GENERATORS), max_size=5))
-        (a, b), (c, d) = gl2_mul(*word)
-        edge = draw(st.integers(0, len(sk.edges) - 1))
-        lines.append(f"label: {edge} {a} {b} {c} {d}\n")
+        lines.append(_random_label_line(draw, len(sk.edges)))
+    return _mutate(draw, lines)
+
+
+def _random_label_line(draw, n_edges):
+    word = draw(st.lists(st.sampled_from(_LABEL_GENERATORS), max_size=5))
+    (a, b), (c, d) = gl2_mul(*word)
+    return f"label: {draw(st.integers(0, n_edges - 1))} {a} {b} {c} {d}\n"
+
+
+def _mutate(draw, lines):
+    """The file's lines with characters replaced or deleted, and lines
+    duplicated or dropped, a few times."""
     for op, pos, char in draw(st.lists(
             st.tuples(st.sampled_from("rdxy"), st.integers(0, 10**6),
                       st.sampled_from(_FUZZ_CHARS)), max_size=3)):
@@ -676,6 +798,10 @@ def test_analyze_fuzz_exit_codes(tmp_path, capsys, text):
     """Any mutated skeleton file: `parse` raises only ParseError or
     SkeletonError, and `analyze` ends with an exit code 0-4 and no
     traceback, with and without --orientation-sweep."""
+    _check_exit_codes(tmp_path, capsys, text)
+
+
+def _check_exit_codes(tmp_path, capsys, text):
     try:
         skelfile.parse(text)
     except (skelfile.ParseError, SkeletonError):
@@ -685,6 +811,69 @@ def test_analyze_fuzz_exit_codes(tmp_path, capsys, text):
     for extra in ([], ["--orientation-sweep"]):
         code, _, err = run_cli(capsys, "analyze", str(f), "--json", *extra)
         assert code in range(5) and "Traceback" not in err
+
+
+_E_KINDS = [("A0**", None), ("E6", None), ("A1*", None), ("E7", None),
+            ("A2*", 0), ("A2*", 1), ("E8", 0), ("E8", 1)]
+
+
+def random_six_valent(rng):
+    """A random connected labelled skeleton, all Y, with one 6-valent
+    vertex and up to two more vertices of valency 3 or 6."""
+    while True:
+        valencies = [6] + [rng.choice((3, 6)) for _ in range(rng.randint(0, 2))]
+        if sum(valencies) % 2:
+            valencies.append(3)
+        n = sum(valencies)
+        ends = list(range(n))
+        rng.shuffle(ends)
+        starts = [sum(valencies[:i]) for i in range(len(valencies))]
+        nx = perm_from_cycles(
+            n, [tuple(ends[a:a + v]) for a, v in zip(starts, valencies)])
+        rng.shuffle(ends)
+        op = perm_from_cycles(n, [tuple(ends[i:i + 2]) for i in range(0, n, 2)])
+        edges = [(i, op[i]) for i in range(n) if i < op[i]]
+        lsk = generalized.LabelledSkeleton(
+            n, op, nx, tuple(rng.choice(e) for e in edges), (Y,) * len(edges))
+        try:
+            lsk.validate()
+        except SkeletonError:
+            continue
+        return lsk
+
+
+@st.composite
+def mutated_labelled_text(draw):
+    """A valid labelled file, mutated as above: a random oriented skeleton
+    with one or two `insert_E_fiber` splices, or a random six-valent
+    skeleton; either may take extra random det-1 labels."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        sk = random_skeleton(rng, draw(st.sampled_from([2, 4])))
+        lsk = from_skeleton(sk, Orientation(tuple(rng.choice(e) for e in sk.edges)))
+        for _ in range(draw(st.integers(1, 2))):
+            kind, variant = draw(st.sampled_from(_E_KINDS))
+            edges = [i for i, L in enumerate(lsk.labels) if L == Y]
+            lsk = insert_E_fiber(lsk, draw(st.sampled_from(edges)), kind, variant)
+        lines = skelfile.format_labelled(lsk).splitlines(keepends=True)
+    else:
+        lsk = random_six_valent(rng)
+        # a Y label line of its own keeps an all-Y file labelled
+        (a, b), (c, d) = Y
+        lines = skelfile.format_labelled(lsk).splitlines(keepends=True)
+        lines.append(f"label: 0 {a} {b} {c} {d}\n")
+    for _ in range(draw(st.integers(0, 1))):
+        lines.append(_random_label_line(draw, len(lsk.edges)))
+    return _mutate(draw, lines)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_labelled_text())
+def test_analyze_fuzz_labelled_exit_codes(tmp_path, capsys, text):
+    """As above, on spliced-fiber and six-valent files, which reach the
+    labelled engine and its region-cycle span check."""
+    _check_exit_codes(tmp_path, capsys, text)
 
 
 def test_readme_library_example(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -218,21 +219,87 @@ def test_unimodular_inverse():
         assert mat_eq(mat_mul(U, Ui), identity(n))
 
 
+def dense_kernel_coordinates(K, v):
+    """Oracle: the x with K x = v for one dense v, by a dense forward
+    substitution on K's pivot rows and a dense check of K x = v."""
+    x = []
+    i = 0
+    for j in range(len(K[0]) if K else 0):
+        while K[i][j] == 0:
+            i += 1
+        q, r = divmod(v[i] - sum(a * b for a, b in zip(K[i][:j], x)), K[i][j])
+        if r:
+            raise ValueError("no integer solution")
+        x.append(q)
+    if exact.mat_vec(K, x) != list(v):
+        raise ValueError("vector is not in the span of the columns")
+    return x
+
+
+def as_sparse(v):
+    return {i: x for i, x in enumerate(v) if x}
+
+
 def test_kernel_coordinates():
     rng = random.Random(29)
     solved = 0
     for M in differential_cases():
         K = integer_kernel(M)
         r = len(K[0]) if K and K[0] else 0
-        x = [rng.randint(-5, 5) for _ in range(r)]
-        assert kernel_coordinates(K, exact.mat_vec(K, x)) == x, M
+        xs = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(3)]
+        got = kernel_coordinates(K, [as_sparse(exact.mat_vec(K, x)) for x in xs])
+        assert got == [as_sparse(x) for x in xs], M
         solved += r > 0
     assert solved > 50
     # not an integer combination, and not in the span at all
     with pytest.raises(ValueError, match="no integer solution"):
-        kernel_coordinates([[2]], [3])
+        kernel_coordinates([[2]], [{0: 3}])
     with pytest.raises(ValueError, match="not in the span"):
-        kernel_coordinates([[1], [0]], [0, 1])
+        kernel_coordinates([[1], [0]], [{1: 1}])
+    assert kernel_coordinates([[], []], [{}, {0: 0}]) == [{}, {}]
+    with pytest.raises(ValueError, match="not in the span"):
+        kernel_coordinates([[], []], [{1: 2}])
+
+
+def _solvable(K, v):
+    try:
+        dense_kernel_coordinates(K, v)
+    except ValueError:
+        return False
+    return True
+
+
+def test_kernel_coordinates_differential():
+    """The sparse solve against the dense oracle on vectors in the span
+    and off it by a small sparse error: one vector at a time, the same x
+    or the same ValueError; all the solvable ones in one call, the same
+    list of x."""
+    rng = random.Random(31)
+    errors = Counter()
+    for M in differential_cases():
+        K = integer_kernel(M)
+        n, r = len(K), len(K[0])
+        vectors = []
+        for _ in range(6):
+            v = exact.mat_vec(K, [rng.randint(-4, 4) for _ in range(r)])
+            for _ in range(rng.randint(0, 2)):
+                v[rng.randrange(n)] += rng.choice((-2, -1, 1, 3))
+            vectors.append(v)
+        for v in vectors:
+            try:
+                expected = as_sparse(dense_kernel_coordinates(K, v))
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    kernel_coordinates(K, [as_sparse(v)])
+                assert str(got.value) == str(e), (M, v)
+                errors[str(e)] += 1
+            else:
+                assert kernel_coordinates(K, [as_sparse(v)]) == [expected], (M, v)
+                errors["solved"] += 1
+        good = [v for v in vectors if _solvable(K, v)]
+        assert kernel_coordinates(K, [as_sparse(v) for v in good]) == [
+            as_sparse(dense_kernel_coordinates(K, v)) for v in good]
+    assert min(errors.values()) >= 20 and len(errors) == 3, errors
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))

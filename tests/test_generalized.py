@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from ellskel.exact import integer_kernel
 from ellskel.generalized import (
     LabelledSkeleton,
     classify_monodromy,
@@ -134,6 +136,21 @@ def test_invariant_vector_criterion():
                 assert v is not None
             else:
                 assert v is None
+
+
+def test_invariant_vector_matches_integer_kernel():
+    """The closed form against the kernel of m - I by `integer_kernel`, on
+    every 2x2 matrix with entries in -4..4: the same primitive vector
+    (first nonzero entry positive, (1, 0) for m = I), or None."""
+    found = 0
+    for a, b, c, d in product(range(-4, 5), repeat=4):
+        m = ((a, b), (c, d))
+        K = integer_kernel([[a - 1, b], [c, d - 1]])
+        expected = (K[0][0], K[1][0]) if K and K[0] else None
+        assert invariant_vector(m) == expected, m
+        found += expected is not None
+    assert found > 400
+    assert invariant_vector(((1, 0), (0, 1))) == (1, 0)
 
 
 # (k, kind, variant) -> (rank, det) of T for insertion at edge 0 on the

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,10 @@ from ellskel import homology
 from ellskel.exact import (
     AbelianInvariants,
     cokernel_invariants,
+    column_lattice_hnf,
     det,
     hermite_normal_form,
+    identity,
     integer_kernel,
     mat_mul,
     shape,
@@ -19,8 +22,14 @@ from ellskel.exact import (
     unimodular_inverse,
     zeros,
 )
-from ellskel.generalized import from_skeleton, kernel_cycles
+from ellskel.generalized import (
+    LabelledSkeleton,
+    from_skeleton,
+    insert_E_fiber,
+    kernel_cycles,
+)
 from ellskel.homology import (
+    cycle_radical_and_quotient,
     h_gamma,
     kernel_cycles_span_radical,
     mordell_weil,
@@ -29,13 +38,22 @@ from ellskel.homology import (
     transcendental_lattice,
     trivalent_invariants,
 )
-from ellskel.lattices import is_isometric, radical_and_quotient
+from ellskel.lattices import IntLattice, is_isometric, radical_and_quotient
+from ellskel.pseudotrees import (
+    SERIES,
+    enumerate_marked_trees,
+    orientation_for_series,
+    series_k,
+    tree_to_skeleton,
+)
 from ellskel.skeletons import (
     X,
+    Y,
     Orientation,
     default_orientation,
     fiber_types,
     gl2_mul,
+    orientation_classes,
     regions,
 )
 
@@ -315,6 +333,96 @@ def test_kernel_cycles_randomized():
         lsk = from_skeleton(sk, default_orientation(sk))
         hg = h_gamma(lsk)
         assert kernel_cycles_span_radical(lsk, hg, transcendental_lattice(hg)[0])
+
+
+def _route_cases():
+    """Oriented trivalent skeletons as all-Y labelled ones: 200 seeded random
+    ones, every series tree with s <= 3, and every orientation class of
+    three random 6-vertex skeletons."""
+    rng = random.Random(71)
+    for _ in range(200):
+        sk = random_skeleton(rng, rng.choice([2, 4, 6, 8]))
+        yield from_skeleton(sk, Orientation(tuple(rng.choice(e) for e in sk.edges)))
+    for series in SERIES:
+        for s in (1, 2, 3):
+            for tree in enumerate_marked_trees(series_k(series, s)):
+                sk, leaves = tree_to_skeleton(tree)
+                yield from_skeleton(sk, orientation_for_series(sk, leaves, series))
+    for _ in range(3):
+        sk = random_skeleton(rng, 6)
+        for o in orientation_classes(sk):
+            yield from_skeleton(sk, o)
+
+
+def test_cycle_radical_matches_gram_kernel():
+    """On trivalent input the region cycles give the radical and the
+    quotient T that the kernel of the Gram matrix gives, basis for basis."""
+    seen = Counter()
+    for lsk in _route_cases():
+        hg = h_gamma(lsk)
+        radical, T = cycle_radical_and_quotient(lsk, hg)
+        assert (radical, T) == radical_and_quotient(IntLattice(hg.gram))
+        seen["cycles" if radical[0] else "none"] += 1
+    assert seen["cycles"] >= 300 and seen["none"] >= 20, seen
+
+
+def _saturation(C):
+    """Oracle: the canonical basis of the saturation of the column span of
+    C, by two dense kernels."""
+    N = integer_kernel(transpose(C))
+    if not (N and N[0]):
+        return identity(len(C))
+    return integer_kernel(transpose(N))
+
+
+def test_span_check_matches_saturation():
+    """`kernel_cycles_span_radical` on labelled input against its
+    definition: the saturation of the cycles' edge values is the radical,
+    mapped to edge values.  Random skeletons with up to three random
+    det-1 labels reach both answers."""
+    rng = random.Random(73)
+    generators = (X, ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((-1, 0), (0, -1)))
+    seen = Counter()
+    for _ in range(250):
+        sk = random_skeleton(rng, rng.choice([2, 4]))
+        heads = tuple(rng.choice(e) for e in sk.edges)
+        labels = [Y] * len(sk.edges)
+        for _ in range(rng.randint(1, 3)):
+            labels[rng.randrange(len(labels))] = gl2_mul(
+                *[rng.choice(generators) for _ in range(rng.randint(1, 4))])
+        lsk = LabelledSkeleton(sk.n_ends, sk.op, sk.nx, heads, labels)
+        hg = h_gamma(lsk)
+        radical, _ = transcendental_lattice(hg)
+        cycles = kernel_cycles(lsk)
+        got = kernel_cycles_span_radical(lsk, hg, radical)
+        if cycles:
+            U = transpose([[x for a, _ in lsk.edges for x in c[2 * a:2 * a + 2]]
+                           for c in cycles])
+            expected = (radical[0] and
+                        _saturation(U) == column_lattice_hnf(mat_mul(hg.kernel, radical)))
+        else:
+            expected = not radical[0]
+        assert got == bool(expected)
+        seen[got, bool(cycles)] += 1
+    assert seen[True, True] and seen[False, True] and seen[True, False], seen
+
+
+def test_span_check_field_meaning(monkeypatch):
+    """`kernel_cycles_span_radical` is true when the cycles span the
+    radical up to finite index, and false when one of them is off it."""
+    sk, leaves = tree_to_skeleton(enumerate_marked_trees(3)[0])
+    lsk = insert_E_fiber(from_skeleton(sk, orientation_for_series(sk, leaves, "th1.2")),
+                         2, "E8", 0)
+    hg = h_gamma(lsk)
+    radical, _ = transcendental_lattice(hg)
+    assert radical[0] and kernel_cycles_span_radical(lsk, hg, radical)
+    coordinates = homology.kernel_coordinates
+    off = next({j: 1} for j, row in enumerate(hg.gram) if any(row))
+    doubled = (lambda xs: [{j: 2 * y for j, y in xs[0].items()}] + xs[1:], True)
+    for mutate, expected in (doubled, (lambda xs: [off] + xs[1:], False)):
+        monkeypatch.setattr(homology, "kernel_coordinates",
+                            lambda K, vs, mutate=mutate: mutate(coordinates(K, vs)))
+        assert kernel_cycles_span_radical(lsk, hg, radical) is expected
 
 
 def test_region_cohomology_types():
