@@ -31,8 +31,6 @@ from .skeletons import (
     SkeletonError,
     fiber_types,
     orientation_classes,
-    region_monodromy,
-    regions,
 )
 
 
@@ -54,7 +52,7 @@ def analyze_skeleton(sk, orientation):
     types = fibers[0]
     cohom = []
     region_rows = []
-    for r in regions(lsk):
+    for r in lsk.regions:
         ft = types[r]
         region_rows.append(
             {
@@ -86,8 +84,7 @@ def analyze_labelled(lsk):
     radical, T = homology.transcendental_lattice(hg)
     mw = homology.mordell_weil(hg)
     rows = []
-    for r in regions(lsk):
-        m = region_monodromy(lsk, r.cycle)
+    for r, m in lsk.monodromies.items():
         rows.append(
             {
                 "cycle": list(r.cycle),

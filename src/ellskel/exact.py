@@ -15,18 +15,19 @@ Conventions:
 
 A sparse matrix is a pair ``(rows, n)``: a ``{column: entry}`` dict of
 the nonzeros of each row, and the column count.  Kernels and cokernels
-first eliminate its ±1 pivots (``_eliminate_units``) and run the dense
-HNF/SNF only on the residual; the kernel is lifted back through the pivot
-rows and HNF-canonicalized, so its basis does not depend on the pivot
-order.  ``kernel_and_cokernel`` takes both from one elimination.
+first eliminate its ±1 pivots (``_eliminate_units``), in one sweep over
+the columns from the last to the first, and run the dense HNF/SNF only on
+the residual.  The kernel is lifted back through the pivot rows, which
+that order makes nearly canonical, and HNF-canonicalized.
+``kernel_and_cokernel`` takes both from one elimination.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from operator import mul
 
 
@@ -290,74 +291,90 @@ def _eliminate_units(rows, n):
     """Elimination of the ±1 pivots of a sparse matrix, one Schur
     complement each; the input rows are not changed.
 
-    Works on a dict-of-rows copy with a column -> rows index.  The next
-    pivot is a unit in a column with the fewest entries, on the shortest
-    such row; columns wait in a heap keyed by their entry count, pushed
-    again whenever a pivot row changes them.
+    One sweep over the columns from the last to the first, on a
+    dict-of-rows copy with a column -> rows index.  An empty column stays
+    free.  A column with a unit pivots on the shortest row holding one,
+    the smaller index on a tie; a column whose entries have gcd 1 but no
+    unit first gets one by Euclid's algorithm on its rows.  Any other
+    column is skipped, its entries left to the residual.
 
-    Returns ``(pivots, rest, residual)``: the pivots in elimination order as
-    ``(column, sign, row)``, ``row`` being the rest of the pivot row, as a
-    column -> entry dict, when it was chosen; the surviving columns in
-    increasing order; and the dense residual on those columns, nonzero rows
-    only.  Clearing a unit's column by row operations and its row by column
-    operations is unimodular, so the matrix is equivalent to
+    Returns ``(pivots, rest, residual)``: the pivots in elimination order,
+    so in decreasing column order, as ``(column, sign, row)``, ``row``
+    being the rest of the pivot row, as a column -> entry dict, when it
+    was chosen; the surviving columns in increasing order; and the dense
+    residual on those columns, nonzero rows only.  Clearing a unit's
+    column by row operations and its row by column operations is
+    unimodular, so the matrix is equivalent to
     ``diag(±1, ..., ±1) ⊕ residual``.
+
+    The pivots of the kernel's Hermite form are the columns that depend on
+    the columns to their right, and row operations keep that set.  A
+    column the sweep finds empty is such a column and a pivot column is
+    not.  So when no pivot row has an entry right of its column (no
+    skipped column entered one), each vector lifted through the pivot rows
+    (`_lift`) starts at its own free column, and the lifted basis is
+    already the Hermite form; otherwise it is close to it.
     """
     rows = {i: dict(r) for i, r in enumerate(rows) if r}
-    cols = {j: set() for j in range(n)}
+    cols = [set() for _ in range(n)]
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-    heap = [(len(rs), j) for j, rs in cols.items()]
-    heapq.heapify(heap)
+
+    def subtract(i, f, prow):  # row i -= f * prow
+        row = rows[i]
+        for j, v in prow.items():
+            x = row.get(j, 0) - f * v
+            if x:
+                row[j] = x
+                cols[j].add(i)
+            else:
+                del row[j]
+                cols[j].discard(i)
+
     pivots = []
-    while heap:
-        count, c = heapq.heappop(heap)
-        rs = cols.get(c)
-        if rs is None or len(rs) != count:
-            continue  # eliminated, or a stale count
+    rest = []
+    for c in reversed(range(n)):
+        rs = cols[c]
         units = [i for i in rs if rows[i][c] in (1, -1)]
+        if not units and gcd(*(rows[i][c] for i in rs)) == 1:
+            while not units:
+                p = min(rs, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
+                a = rows[p][c]
+                for i in [i for i in rs if i != p]:
+                    subtract(i, rows[i][c] // a, rows[p])
+                units = [i for i in rs if rows[i][c] in (1, -1)]
         if not units:
-            continue  # pushed again if one of its entries changes
-        p = units[0] if len(units) == 1 else min(
-            units, key=lambda i: (len(rows[i]), i))
+            rest.append(c)
+            continue
+        p = min(units, key=lambda i: (len(rows[i]), i))
         prow = rows.pop(p)
         s = prow.pop(c)
-        rs.discard(p)
         for j in prow:
             cols[j].discard(p)
-        for i in cols.pop(c):
-            row = rows[i]
-            f = row.pop(c) * s
-            for j, v in prow.items():
-                x = row.get(j, 0) - f * v
-                if x:
-                    row[j] = x
-                    cols[j].add(i)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
+        rs.discard(p)
+        for i in rs:
+            subtract(i, rows[i].pop(c) * s, prow)
+        rs.clear()
         pivots.append((c, s, prow))
-        for j in prow:
-            heapq.heappush(heap, (len(cols[j]), j))
-    rest = sorted(cols)
+    rest.reverse()
     residual = [[row.get(j, 0) for j in rest] for _, row in sorted(rows.items()) if row]
     return pivots, rest, residual
 
 
-def _kernel(n, pivots, rest, residual):
-    """The canonical kernel basis from an elimination of an n-column matrix."""
+def _lift(n, pivots, rest, residual):
+    """A basis of the kernel, as rows: a Hermite basis of the residual's
+    kernel on the surviving columns, lifted through the pivot rows."""
     if residual:
         # zero rows of H correspond to rows of U spanning the residual kernel
         H, U = hermite_normal_form(transpose(residual))
         free = [U[i] for i in range(len(rest)) if not any(H[i])]
         if free:
-            # an echelon basis lifts to one that is nearly canonical already
             free = hermite_form(free)
     else:
         free = identity(len(rest))
     if not free:
-        return [[] for _ in range(n)]
+        return []
     # each pivot row solves for its column: s*x_c + sum_j row[j]*x_j = 0
     X = dict(zip(rest, transpose(free)))  # coordinate j of every vector
     for c, s, prow in reversed(pivots):
@@ -366,8 +383,15 @@ def _kernel(n, pivots, rest, residual):
             f = s * v
             x = [a - f * b for a, b in zip(x, X[j])]
         X[c] = x
-    canon = hermite_form(transpose([X[j] for j in range(n)]))
-    return transpose([row for row in canon if any(row)])
+    return transpose([X[j] for j in range(n)])
+
+
+def _kernel(n, pivots, rest, residual):
+    """The canonical kernel basis from an elimination of an n-column matrix."""
+    basis = _lift(n, pivots, rest, residual)
+    if not basis:
+        return [[] for _ in range(n)]
+    return transpose(hermite_form(basis))
 
 
 def _cokernel(rest, residual):

@@ -32,7 +32,6 @@ from .skeletons import (
     gl2_apply,
     gl2_mul,
     region_monodromy,
-    regions,
 )
 
 
@@ -119,6 +118,12 @@ class LabelledSkeleton(Skeleton):
             out[a] = _transport(L, a == h)
             out[b] = _transport(L, b == h)
         return tuple(out)
+
+    @cached_property
+    def monodromies(self):
+        """The boundary monodromy of each region, keyed by the region in
+        the order of `regions`."""
+        return {r: region_monodromy(self, r.cycle) for r in self.regions}
 
 
 def from_skeleton(sk, orientation):
@@ -262,8 +267,8 @@ def invariant_vector(m):
 def kernel_cycles(lsk):
     """Fundamental cycles of regions whose monodromy fixes a vector."""
     out = []
-    for region in regions(lsk):
-        v = invariant_vector(region_monodromy(lsk, region.cycle))
+    for region, m in lsk.monodromies.items():
+        v = invariant_vector(m)
         if v is not None:
             out.append(fundamental_cycle(lsk, region.cycle, v))
     return out

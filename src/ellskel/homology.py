@@ -36,6 +36,7 @@ trivalent input); restriction to the kernel must land in integers.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -58,9 +59,7 @@ from .skeletons import (
     genus,
     gl2_apply,
     gl2_mul,
-    region_monodromy,
     region_steps,
-    regions,
 )
 
 # X^d and the polarized form's block -S X^d for d mod 3, where S is the
@@ -268,10 +267,21 @@ def kernel_cycles_span_radical(lsk, hg, radical):
     """
     cycles = kernel_cycles(lsk)
     values = _edge_values(lsk, cycles)
+    columns = defaultdict(list)  # D by columns: D u sums over u's nonzeros
+    for i, row in enumerate(hg.relations):
+        for j, v in row.items():
+            columns[j].append((i, v))
     for c, u in zip(cycles, values):
-        h = [(c[2 * a], c[2 * a + 1]) for a in range(lsk.n_ends)]
-        if (any(gl2_apply(lsk.lifts[b], h[a]) != h[b] for a, b in lsk.edges)
-                or any(sum(v * u.get(j, 0) for j, v in row.items()) for row in hg.relations)):
+        # an edge with both ends zero satisfies its relation
+        ends = {i // 2 for i in compress(range(len(c)), c)}
+        edges = {(a, lsk.op[a]) if a < lsk.op[a] else (lsk.op[a], a) for a in ends}
+        Du = defaultdict(int)
+        for j, y in u.items():
+            for i, v in columns[j]:
+                Du[i] += v * y
+        bad_edge = any(gl2_apply(lsk.lifts[b], (c[2 * a], c[2 * a + 1]))
+                       != (c[2 * b], c[2 * b + 1]) for a, b in edges)
+        if bad_edge or any(Du.values()):
             raise AssertionError("cycle does not satisfy the relations")
     coords = kernel_coordinates(hg.kernel, values)
     if not all(_in_radical(hg.gram, x) for x in coords):
@@ -299,7 +309,7 @@ def region_cohomology(lsk, region):
         _add_block(R, 2 * i, 2 * ((i + 1) % N), _I)
         _add_block(R, 2 * i, 2 * i, [[-x for x in r] for r in m])
     inv = sparse_cokernel(R, 2 * N)
-    M = region_monodromy(lsk, region.cycle)
+    M = lsk.monodromies[region]
     Mt_minus_id = [[M[j][i] - (i == j) for j in range(2)] for i in range(2)]
     side = cokernel_invariants(Mt_minus_id)
     if inv.torsion != side.torsion:
@@ -346,7 +356,7 @@ def surface_invariants(sk, fibers, hg, T):
     K = hg.kernel
     kdim = len(K[0]) if K and K[0] else 0
     checks = (
-        (inv.r == len(regions(sk)), "region count"),
+        (inv.r == len(sk.regions), "region count"),
         (kdim == 2 * k, "kernel rank"),
         (kdim - T.rank == inv.rank_ker, "radical rank"),
         (T.rank == inv.rank_T, "rank of T"),

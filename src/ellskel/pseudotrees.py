@@ -29,7 +29,7 @@ from .lattices import (
     orthogonal_complement,
     standard_lattice,
 )
-from .skeletons import Orientation, Skeleton, fiber_types, genus, regions
+from .skeletons import Orientation, Skeleton, fiber_types, genus
 
 
 def enumerate_marked_trees(k):
@@ -112,7 +112,7 @@ def tree_to_skeleton(tree):
 
 
 def outer_region(sk):
-    outer = [r for r in regions(sk) if r.size > 1]
+    outer = [r for r in sk.regions if r.size > 1]
     if len(outer) != 1:
         raise AssertionError(f"{len(outer)} regions of size > 1, expected 1")
     return outer[0]

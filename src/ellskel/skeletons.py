@@ -11,7 +11,8 @@ around a region is one walk, `region_steps`, on a labelled skeleton
 (`ellskel.generalized`; an oriented skeleton is its all-Y one): each op
 step is lifted by the skeleton's per-end table `lifts`, each nx⁻¹ step
 by -X.  The region monodromy, the fundamental cycles and the fiber types
-all read that walk.
+all read that walk.  A skeleton keeps its `regions`, and a labelled one
+its `monodromies`, so each region's monodromy is walked once.
 """
 
 from __future__ import annotations
@@ -97,6 +98,13 @@ class Skeleton:
             for end in v:
                 index[end] = i
         return index
+
+    @cached_property
+    def regions(self):
+        """The orbits of nx⁻¹ ∘ op, each starting at its minimal end."""
+        nxi = self.nx_inv
+        f = tuple(nxi[self.op[i]] for i in range(self.n_ends))
+        return tuple(Region(c) for c in _orbits(f, self.n_ends))
 
     def vertex_of(self, end):
         if not 0 <= end < self.n_ends:
@@ -195,12 +203,6 @@ class Region:
         return len(self.cycle)
 
 
-def regions(sk):
-    nxi = sk.nx_inv
-    f = tuple(nxi[sk.op[i]] for i in range(sk.n_ends))
-    return [Region(c) for c in _orbits(f, sk.n_ends)]
-
-
 def region_steps(lsk, cycle):
     """The 2n steps around the region with boundary `cycle`, as (end
     reached, SL(2,Z) lift): from each end α of the cycle, op onto op[α],
@@ -240,7 +242,7 @@ def fundamental_cycle(lsk, cycle, h):
 def genus(sk):
     v = sk.n_ends // 3
     e = sk.n_ends // 2
-    r = len(regions(sk))
+    r = len(sk.regions)
     chi = v - e + r
     if chi % 2:
         raise AssertionError(f"Euler characteristic {chi} is odd")
@@ -282,9 +284,8 @@ def fiber_types(lsk):
     A fiber for +, a D fiber for -."""
     out = {}
     t = 0
-    for reg in regions(lsk):
+    for reg, m in lsk.monodromies.items():
         n = reg.size
-        m = region_monodromy(lsk, reg.cycle)
         if m == [(1, n), (0, 1)]:
             out[reg] = FiberType("A", max(n - 1, 0), n)
         elif m == [(-1, -n), (0, -1)]:

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 
 from .generalized import LabelledSkeleton
-from .skeletons import Orientation, Skeleton, SkeletonError, Y, _orbits, genus, regions
+from .skeletons import Orientation, Skeleton, SkeletonError, Y, _orbits, genus
 
 _Y = tuple(tuple(r) for r in Y)
 
@@ -130,7 +130,7 @@ def _loop_tree_heads(sk):
     """Stable-loop heads if sk is a loop-decorated tree, else None."""
     if genus(sk) != 0:
         return None
-    rs = regions(sk)
+    rs = sk.regions
     monogons = [r for r in rs if r.size == 1]
     k = sk.n_ends // 6
     if len(monogons) != k + 1 or len(rs) != k + 2:

@@ -25,7 +25,7 @@ from ellskel.pseudotrees import (
     tree_to_skeleton,
     verify_series,
 )
-from ellskel.skeletons import Orientation, fiber_types, genus, regions
+from ellskel.skeletons import Orientation, fiber_types, genus
 
 from test_homology import (
     dense,
@@ -99,7 +99,7 @@ def pool_results(pool):
             kdim == 2 * k
             and rk == k + t + 2 * g - 2
             and kdim - rk == k - t + 2 - 2 * g
-            and len(regions(sk)) == k + 2 - 2 * g
+            and len(sk.regions) == k + 2 - 2 * g
             and mu == 2 * g + 5 * k + 5 * t - 2
         )
         # the end-coordinate relations are independent, and so are the

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -33,6 +34,7 @@ from ellskel.skeletons import (
     Y,
     default_orientation,
     fiber_types,
+    gl2_apply,
     gl2_mul,
 )
 
@@ -258,22 +260,35 @@ def test_analyze_chain_k64(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.slow
 def test_analyze_chain_k128(tmp_path, capsys):
-    """The k = 128 chain tree, end to end; no time bound."""
+    """The k = 128 chain tree, end to end, byte for byte; no time bound.
+    With one E8 fiber spliced in, the labelled path too."""
     code, out, err = run_cli(capsys, "analyze", str(chain_file(tmp_path, 128)), "--json")
     assert code == 0, err
     doc = json.loads(out)
     assert doc["invariants"]["k"] == 128
     assert doc["invariants"]["rank_T"] == doc["transcendental"]["rank"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "beedc8bb994368a2b0fb7073c7ea2d531efc39d1e2b8fa1081e8341a379e33f3")
+    lsk = insert_E_fiber(from_skeleton(*skelfile.parse(chain_file(tmp_path, 128).read_text())),
+                         3, "E8", 0)
+    f = tmp_path / "chain128-e8.skel"
+    f.write_text(skelfile.format_labelled(lsk))
+    code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ad26096ebe37538b9edd982eb84a2a3eb8e2521dec3853aa008498557a973024")
 
 
 @pytest.mark.slow
 def test_analyze_chain_k256(tmp_path, capsys):
-    """The k = 256 chain tree, end to end; no time bound."""
+    """The k = 256 chain tree, end to end, byte for byte; no time bound."""
     code, out, err = run_cli(capsys, "analyze", str(chain_file(tmp_path, 256)), "--json")
     assert code == 0, err
     doc = json.loads(out)
     assert doc["invariants"]["k"] == 256
     assert doc["invariants"]["rank_T"] == doc["transcendental"]["rank"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "48c05b4710382a0927fafa08000c1d12866bcdc2a0aae3228a268add4d868a27")
 
 
 def test_analyze_missing_file_exit_2(capsys):
@@ -528,6 +543,30 @@ def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
     assert n == doc["count"] == 5
 
 
+def test_one_monodromy_walk_per_region(tmp_path, capsys, monkeypatch):
+    """Fiber types, region cycles, the region cohomology check and the
+    labelled report read one cached monodromy per region: one walk per
+    region per analysis, trivalent or labelled."""
+    calls = [count_calls(monkeypatch, module, "region_monodromy")
+             for module in (cli, generalized, homology, skeletons)
+             if hasattr(module, "region_monodromy")]
+    rng = random.Random(16)
+    sk = random_skeleton(rng, 6)
+    o = default_orientation(sk)
+    texts = [skelfile.format_skeleton(sk, o),
+             skelfile.format_labelled(insert_E_fiber(from_skeleton(sk, o), 1, "E7"))]
+    for text in texts:
+        for c in calls:
+            c.clear()
+        f = tmp_path / "sk.skel"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+        assert code == 0, err
+        n_regions = len(json.loads(out)["regions"])
+        assert sum(map(len, calls)) == n_regions
+        assert len({args[1] for c in calls for args in c}) == n_regions
+
+
 def test_one_short_vector_enumeration_per_series_level(capsys, monkeypatch):
     """verify_series tests every tree of a level against one expected
     lattice, whose short vectors are enumerated once for the level."""
@@ -671,6 +710,42 @@ def test_region_cycle_mutations_exit_4(tmp_path, capsys, monkeypatch):
                          lambda K, vs: off[:1] + coordinates(K, vs)[1:],
                          "not in the radical")
     assert len(seen) == 4 and min(seen.values()) >= 2, seen
+
+
+def test_labelled_cycle_mutations_exit_4(tmp_path, capsys, monkeypatch):
+    """On labelled input each region cycle must satisfy the relations: a
+    cycle changed at the larger end of an edge only (the edge relation
+    fails, the edge values and so D u stay) or moved along a non-loop edge
+    (the edge relation holds, D u does not vanish) ends `analyze` with
+    exit code 4."""
+    kernel_cycles = homology.kernel_cycles
+
+    def moved(lsk, along):
+        a, b = next((a, b) for a, b in lsk.edges
+                    if lsk.vertex_of(a) != lsk.vertex_of(b))
+        cycles = [list(c) for c in kernel_cycles(lsk)]
+        mb = gl2_apply(lsk.lifts[b], (1, 0))
+        cycles[0][2 * b] += mb[0]
+        cycles[0][2 * b + 1] += mb[1]
+        if along:
+            cycles[0][2 * a] += 1
+        return cycles
+
+    rng = random.Random(18)
+    for kind, variant in (("E6", None), ("E8", 0), ("A1*", None)):
+        sk = random_skeleton(rng, 4)
+        lsk = insert_E_fiber(from_skeleton(sk, default_orientation(sk)), 0, kind, variant)
+        assert kernel_cycles(lsk)
+        f = tmp_path / "labelled.skel"
+        f.write_text(skelfile.format_labelled(lsk))
+        assert run_cli(capsys, "analyze", str(f), "--json")[0] == 0
+        for along in (False, True):
+            monkeypatch.setattr(homology, "kernel_cycles",
+                                lambda lsk, along=along: moved(lsk, along))
+            code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+            monkeypatch.undo()
+            assert code == 4 and out == "", err
+            assert "cycle does not satisfy the relations" in err
 
 
 def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):

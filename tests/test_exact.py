@@ -10,6 +10,7 @@ from ellskel.exact import (
     AbelianInvariants,
     cokernel_invariants,
     det,
+    hermite_form,
     hermite_normal_form,
     identity,
     integer_kernel,
@@ -22,8 +23,9 @@ from ellskel.exact import (
     unimodular_inverse,
     zeros,
 )
+from ellskel.homology import relation_matrix
 
-from test_homology import rank
+from test_homology import _route_cases, rank
 
 
 def naive_row_reduce(M):
@@ -358,6 +360,24 @@ def block_relation_matrix(rng, rows, cols):
     return M
 
 
+# twice an invertible block: a loop's two ends on one vertex give I - (-I)
+_LOOP_BLOCKS = (((2, 0), (0, 2)), ((-2, 2), (-2, 0)), ((0, -2), (2, -2)),
+                ((2, 2), (0, 2)))
+
+
+def loop_relation_matrix(rng, rows, cols):
+    """Block rows as in `block_relation_matrix`, the last block column
+    touched only by loop blocks, so that its entries are all even."""
+    M = block_relation_matrix(rng, rows, cols)
+    loops = rng.sample(range(rows), rng.randint(1, min(rows, 2)))
+    for r in range(rows):
+        blk = rng.choice(_LOOP_BLOCKS) if r in loops else ((0, 0), (0, 0))
+        sign = rng.choice((1, -1))
+        for i in range(2):
+            M[2 * r + i] += [sign * x for x in blk[i]]
+    return M
+
+
 def zero_out(rng, M):
     """Zero a few whole rows and columns."""
     m, n = exact.shape(M)
@@ -390,6 +410,9 @@ def differential_cases():
     for _ in range(30):  # block rows as in the relation matrices
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         cases.append(block_relation_matrix(rng, rows, cols))
+    for _ in range(30):  # loop blocks, entries ±2: the sweep skips columns
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(loop_relation_matrix(rng, rows, cols))
     return cases
 
 
@@ -447,16 +470,46 @@ def test_eliminate_units_residual():
                 U[i][j] = rng.randint(-4, 4)
         rng.shuffle(U)
         pivots, rest, residual = exact._eliminate_units(*exact.sparse(U))
-        assert len(pivots) == n and rest == [] and residual == []
-    # no unit anywhere: nothing is eliminated
-    M = [[2, 4], [6, 3]]
+        # the sweep runs from the last column to the first
+        assert [c for c, _, _ in pivots] == list(reversed(range(n)))
+        assert rest == [] and residual == []
+    # the shortest row holding a unit pivots, the smaller index on a tie
+    pivots, _, _ = exact._eliminate_units(*exact.sparse(
+        [[1, 1, 1], [0, 1, -1], [0, 0, 1]]))
+    assert [(c, s) for c, s, _ in pivots] == [(2, 1), (1, 1), (0, 1)]
+    assert all(row == {} for _, _, row in pivots)
+    pivots, rest, residual = exact._eliminate_units(*exact.sparse([[1, 1], [1, -1]]))
+    assert pivots == [(1, 1, {0: 1})] and rest == [0] and residual == [[2]]
+    # no column has entries of gcd 1: nothing is eliminated
+    M = [[2, 4], [6, 6]]
     pivots, rest, residual = exact._eliminate_units(*exact.sparse(M))
     assert pivots == [] and rest == [0, 1] and residual == M
-    # the residual keeps only the surviving columns, in order
+    # gcd 1 without a unit: Euclid's algorithm on the column's rows makes one
+    pivots, rest, residual = exact._eliminate_units(*exact.sparse([[2, 4], [6, 3]]))
+    assert pivots == [(1, 1, {0: -4})] and rest == [0] and residual == [[18]]
+    # a column without a unit is left in rest; the residual keeps only the
+    # surviving columns, in order
     pivots, rest, residual = exact._eliminate_units(
         *exact.sparse([[1, 2, 4], [3, 6, 10]]))
     assert [c for c, _, _ in pivots] == [0] and rest == [1, 2]
     assert residual == [[0, -2]]
+
+
+def test_sweep_lift_is_canonical():
+    """The free columns of the sweep are the Hermite pivots of the kernel:
+    when no pivot row has an entry right of its column, in particular when
+    no column was skipped, the lifted basis is its own Hermite form."""
+    cases = [exact.sparse(M) for M in differential_cases()]
+    cases += [relation_matrix(lsk) for lsk in _route_cases()]
+    seen = Counter()
+    for rows, n in cases:
+        pivots, rest, residual = exact._eliminate_units(rows, n)
+        if any(j > c for c, _, row in pivots for j in row):
+            continue
+        basis = exact._lift(n, pivots, rest, residual)
+        assert basis == hermite_form(basis), (rows, n)
+        seen["residual" if residual else "no residual"] += 1
+    assert seen["no residual"] >= 50 and seen["residual"] >= 100, seen
 
 
 def is_hermite(H):

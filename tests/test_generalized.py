@@ -30,7 +30,6 @@ from ellskel.skeletons import (
     default_orientation,
     gl2_mul,
     region_monodromy,
-    regions,
 )
 from ellskel.skelfile import parse
 
@@ -116,7 +115,7 @@ def test_inserted_region_monodromies():
                 lsk = insert_E_fiber(base, ei, kind, var)
                 shapes = [
                     classify_monodromy(region_monodromy(lsk, r.cycle))
-                    for r in regions(lsk)
+                    for r in lsk.regions
                 ]
                 torsion = [s for s in shapes if s[0] == "torsion"]
                 assert torsion == [("torsion", order)]
@@ -128,7 +127,7 @@ def test_invariant_vector_criterion():
     base = all_A_base(2)
     for (kind, var) in DISK_ORDERS:
         lsk = insert_E_fiber(base, 1, kind, var)
-        for r in regions(lsk):
+        for r in lsk.regions:
             m = region_monodromy(lsk, r.cycle)
             shape = classify_monodromy(m)
             v = invariant_vector(m)
@@ -295,7 +294,7 @@ label: 0 -3 2 -2 1
 def test_parabolic_region_off_normal_form():
     lsk = parse(PARABOLIC_TEXT)
     shapes = {}
-    for r in regions(lsk):
+    for r in lsk.regions:
         m = region_monodromy(lsk, r.cycle)
         shapes[tuple(map(tuple, m))] = classify_monodromy(m)
     # [[3, -2], [2, -1]] = P [[1, -2], [0, 1]] P^-1 with P = [[-1, 0], [-1, -1]]
@@ -318,7 +317,7 @@ def test_parabolic_conjugator_over_labels():
                 base.n_ends, base.op, base.nx, base.heads,
                 tuple(L if i == edge else YT for i in range(len(base.edges))),
             )
-            for r in regions(lsk):
+            for r in lsk.regions:
                 m = region_monodromy(lsk, r.cycle)
                 trace = m[0][0] + m[1][1]
                 if abs(trace) != 2:

@@ -54,7 +54,6 @@ from ellskel.skeletons import (
     fiber_types,
     gl2_mul,
     orientation_classes,
-    regions,
 )
 
 from test_skeletons import (
@@ -431,7 +430,7 @@ def test_region_cohomology_types():
         sk = random_skeleton(rng, 2)
         lsk = from_skeleton(sk, default_orientation(sk))
         types, _, _ = fiber_types(lsk)
-        for reg in regions(lsk):
+        for reg in lsk.regions:
             inv = region_cohomology(lsk, reg)
             ft = types[reg]
             n = reg.size

@@ -20,7 +20,6 @@ from ellskel.skeletons import (
     gl2_mul,
     region_monodromy,
     region_steps,
-    regions,
 )
 
 
@@ -113,13 +112,13 @@ def test_validate():
 
 
 def test_regions_and_genus():
-    rs = regions(THETA_PLANAR)
+    rs = THETA_PLANAR.regions
     assert sorted(r.size for r in rs) == [2, 2, 2]
     assert genus(THETA_PLANAR) == 0
-    rs = regions(THETA_TORUS)
+    rs = THETA_TORUS.regions
     assert [r.size for r in rs] == [6]
     assert genus(THETA_TORUS) == 1
-    rs = regions(PSEUDOTREE_K1)
+    rs = PSEUDOTREE_K1.regions
     assert sorted(r.size for r in rs) == [1, 1, 4]
     assert genus(PSEUDOTREE_K1) == 0
 
@@ -130,7 +129,7 @@ def test_region_count_identity():
     for _ in range(40):
         sk = random_skeleton(rng, rng.choice([2, 4, 6]))
         k = sk.n_ends // 6
-        assert len(regions(sk)) == k + 2 - 2 * genus(sk)
+        assert len(sk.regions) == k + 2 - 2 * genus(sk)
 
 
 def k1_all_A_orientation():
@@ -145,7 +144,7 @@ def k1_all_A_orientation():
 def test_monodromy_empty_and_region():
     for sk in (THETA_TORUS, THETA_PLANAR, PSEUDOTREE_K1):
         lsk = from_skeleton(sk, default_orientation(sk))
-        for reg in regions(lsk):
+        for reg in lsk.regions:
             m = region_monodromy(lsk, reg.cycle)
             n = reg.size
             assert m in ([(1, n), (0, 1)], [(-1, -n), (0, -1)])
@@ -201,7 +200,7 @@ def test_monodromy_matches_step_products():
         skeletons.append(insert_E_fiber(base, edge, kind, variant))
     labels = set()
     for lsk in skeletons:
-        for reg in regions(lsk):
+        for reg in lsk.regions:
             onto, steps = oracle_walk(lsk, reg.cycle)
             assert [tuple(map(tuple, onto[e])) for e in range(lsk.n_ends)] == list(
                 lsk.lifts)
@@ -218,14 +217,14 @@ def test_monodromy_matches_step_products():
 def test_monogon_orientation_sign():
     # loop edge (1,2) of the k=1 pseudo-tree: head at 2 makes the monogon +
     lsk = from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation())
-    reg = next(r for r in regions(lsk) if r.cycle == (1,))
+    reg = next(r for r in lsk.regions if r.cycle == (1,))
     assert region_monodromy(lsk, reg.cycle) == [(1, 1), (0, 1)]
 
 
 def test_invariant_transport_around_stable_region():
     lsk = from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation())
     stable = 0
-    for reg in regions(lsk):
+    for reg in lsk.regions:
         m = region_monodromy(lsk, reg.cycle)
         if m[0][0] == 1:  # stable region, a is invariant
             stable += 1
@@ -239,13 +238,13 @@ def test_invariant_transport_around_stable_region():
 
 def test_fundamental_cycle():
     lsk = from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation())
-    reg = next(r for r in regions(lsk) if r.cycle == (1,))
+    reg = next(r for r in lsk.regions if r.cycle == (1,))
     v = fundamental_cycle(lsk, reg.cycle, (1, 0))
     # the walk reaches end 2 by op, carrying -Y a = -b, and end 1 by nx^-1,
     # carrying -X (-b) = a
     assert v == [0, 0, 1, 0, 0, -1] + [0] * 6
     # non-invariant vector is rejected
-    bad = next(r for r in regions(lsk) if r.size == 4)
+    bad = next(r for r in lsk.regions if r.size == 4)
     m = region_monodromy(lsk, bad.cycle)
     assert gl2_apply(m, (1, 0)) != (1, 0)
     with pytest.raises(ValueError, match="invariant"):
