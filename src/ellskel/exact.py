@@ -5,8 +5,11 @@ No floating point is used anywhere in this package.
 
 Conventions:
 
-* ``hermite_normal_form`` and ``smith_normal_form`` act on the left/right
-  by unimodular transforms, ``H = U*M`` and ``S = U*M*V``.
+* ``hermite_normal_form(M)`` returns ``(H, U)`` with ``H = U*M``, U
+  unimodular.  ``smith_form(M)`` replays the Smith elimination
+  ``S = U*M*V`` on sparse rows and returns S's nonzero diagonal and the
+  columns of ``U^-1``, built from the inverse of each row operation; it
+  builds neither U nor V.
 * ``integer_kernel(M)`` returns a matrix whose *columns* form a basis of
   ``{x : M x = 0}``; its transpose is in Hermite form, and
   ``kernel_coordinates`` solves sparse vectors against such a basis.
@@ -16,9 +19,10 @@ Conventions:
 A sparse matrix is a pair ``(rows, n)``: a ``{column: entry}`` dict of
 the nonzeros of each row, and the column count.  Kernels and cokernels
 first eliminate its ±1 pivots (``_eliminate_units``), in one sweep over
-the columns from the last to the first, and run the dense HNF/SNF only on
-the residual.  The kernel is lifted back through the pivot rows, which
-that order makes nearly canonical, and HNF-canonicalized.
+the columns from the last to the first, and run the dense HNF (kernel)
+or the Smith replay (cokernel) only on the residual.  The kernel is
+lifted back through the pivot rows, which that order makes nearly
+canonical, and HNF-canonicalized.
 ``kernel_and_cokernel`` takes both from one elimination.
 """
 
@@ -180,96 +184,104 @@ def _hermite(M, U):
     return H, U
 
 
-def smith_normal_form(M):
-    """Returns (S, U, V) with S = U*M*V diagonal, d_1 | d_2 | ..., d_i >= 0."""
-    S = mat_copy(M)
-    m, n = shape(S)
-    U = identity(m)
-    V = identity(n)
+def _axpy(a, b, q):
+    """a += q * b for sparse {index: entry} dicts, keeping only nonzeros."""
+    for j, v in b.items():
+        x = a.get(j, 0) + q * v
+        if x:
+            a[j] = x
+        else:
+            a.pop(j, None)
+
+
+def smith_form(M):
+    """(d, W): the nonzero diagonal d_1 | d_2 | ... > 0 of the Smith form
+    S = U M V, and the columns of W = U^-1 as sparse {row: entry} dicts.
+
+    The pivot is the smallest |entry| of the remaining block, the first in
+    row-major order; its column and its row are cleared by Euclid steps
+    (a nonzero remainder becomes the pivot by a swap and the clearing is
+    repeated); a remaining entry the pivot does not divide has its row
+    added to the pivot row before the pivot is chosen again; a negative
+    pivot row is negated.  S is kept as sparse rows and neither U nor V
+    is built: a row swap swaps W's columns, row_i -= q row_k does
+    col_k += q col_i on W, and a negated row negates a column of W.
+    """
+    S, n = sparse(M)
+    m = len(S)
+    W = [{i: 1} for i in range(m)]
 
     def row_op(i, k, q):  # row_i -= q * row_k
-        S[i] = [a - q * b for a, b in zip(S[i], S[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        _axpy(S[i], S[k], -q)
+        _axpy(W[k], W[i], q)
 
-    def col_op(j, k, q):  # col_j -= q * col_k
+    def swap_rows(t, i):
+        S[t], S[i] = S[i], S[t]
+        W[t], W[i] = W[i], W[t]
+
+    def swap_cols(t, j):
         for row in S:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
+            a, b = row.pop(t, 0), row.pop(j, 0)
+            if a:
+                row[j] = a
+            if b:
+                row[t] = b
 
     t = 0
-    while True:
-        # locate a minimal nonzero entry in S[t:, t:]
+    while t < min(m, n):
+        # rows t.. hold only columns t..; stop at the first row with a unit
         piv = None
         for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0 and (
-                    piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]])
-                ):
-                    piv = (i, j)
+            if S[i]:
+                a, j = min((abs(v), j) for j, v in S[i].items())
+                if piv is None or a < piv[0]:
+                    piv = a, i, j
+                    if a == 1:
+                        break
         if piv is None:
             break
-        i, j = piv
+        _, i, j = piv
         if i != t:
-            S[t], S[i] = S[i], S[t]
-            U[t], U[i] = U[i], U[t]
+            swap_rows(t, i)
         if j != t:
-            for row in S:
-                row[t], row[j] = row[j], row[t]
-            for row in V:
-                row[t], row[j] = row[j], row[t]
-        while True:
-            # clear column t
+            swap_cols(t, j)
+        again = True
+        while again:
+            # a step on row i (column j) changes only it and row (column)
+            # t, so the nonzeros beyond it can be listed before the loop
             again = False
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    row_op(i, t, q)
-                    if S[i][t] != 0:
-                        S[t], S[i] = S[i], S[t]
-                        U[t], U[i] = U[i], U[t]
-                        again = True
+            for i in [i for i in range(t + 1, m) if t in S[i]]:
+                row_op(i, t, S[i][t] // S[t][t])
+                if t in S[i]:
+                    swap_rows(t, i)
+                    again = True
             if again:
                 continue
-            # clear row t
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, q)
-                    if S[t][j] != 0:
-                        for row in S:
-                            row[t], row[j] = row[j], row[t]
-                        for row in V:
-                            row[t], row[j] = row[j], row[t]
-                        again = True
-            if not again and all(S[i][t] == 0 for i in range(t + 1, m)):
-                break
-        # enforce divisibility of the remaining block by the pivot
+            for j in sorted(j for j in S[t] if j > t):
+                q = S[t][j] // S[t][t]
+                for row in S:  # col_j -= q * col_t
+                    if t in row:
+                        _axpy(row, {j: row[t]}, -q)
+                if j in S[t]:
+                    swap_cols(t, j)
+                    again = True
         p = S[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, m)
+                    if any(v % p for v in S[i].values())), None)
         if bad is not None:
             row_op(t, bad, -1)  # add row `bad` to row t, then redo the pivot
             continue
-        if S[t][t] < 0:
-            S[t] = [-a for a in S[t]]
-            U[t] = [-a for a in U[t]]
+        if p < 0:
+            S[t][t] = -p
+            W[t] = {i: -x for i, x in W[t].items()}
         t += 1
-        if t == min(m, n):
-            break
-    return S, U, V
+    return [S[i][i] for i in range(t)], W
 
 
 def snf_diagonal(M):
-    S, _, _ = smith_normal_form(M)
-    m, n = shape(S)
-    return [S[i][i] for i in range(min(m, n))]
+    """The diagonal of the Smith form of M, zeros included."""
+    d = smith_form(M)[0]
+    return d + [0] * (min(shape(M)) - len(d))
 
 
 def sparse(M):
@@ -496,21 +508,6 @@ def bareiss(M):
 def det(M):
     """Exact determinant (Bareiss fraction-free elimination)."""
     return bareiss(M)[0]
-
-
-def unimodular_inverse(M):
-    """Inverse of a unimodular integer matrix, as an integer matrix.
-
-    The Hermite form of a unimodular M is the identity, so its transform
-    is the inverse.
-    """
-    m, n = shape(M)
-    if m != n:
-        raise ValueError("matrix is not square")
-    H, U = hermite_normal_form(M)
-    if H != identity(n):
-        raise AssertionError("matrix is not unimodular")
-    return U
 
 
 def column_lattice_hnf(M):

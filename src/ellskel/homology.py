@@ -301,13 +301,14 @@ def region_cohomology(lsk, region):
     """
     steps = [m for _, m in region_steps(lsk, region.cycle)]
     N = len(steps)  # boundary positions
-    R = [{} for _ in range(2 * N)]
+    R = []
     for i, m in enumerate(steps):
-        # m transports from position i to position i+1 (mod N); relation row
-        # for covector e_c: e_c at position i+1 minus m^t e_c at position i,
-        # so the coefficient of generator (i, c') is -m[c][c']
-        _add_block(R, 2 * i, 2 * ((i + 1) % N), _I)
-        _add_block(R, 2 * i, 2 * i, [[-x for x in r] for r in m])
+        # m transports from position i to position i+1 (mod N); the row of
+        # covector e_c is e_c at i+1 minus m^t e_c at i: (i, c') gets
+        # -m[c][c'].  N >= 2, so the two blocks never share a column
+        for c, (a, b) in enumerate(m):
+            row = {2 * ((i + 1) % N) + c: 1, 2 * i: -a, 2 * i + 1: -b}
+            R.append({j: x for j, x in row.items() if x})
     inv = sparse_cokernel(R, 2 * N)
     M = lsk.monodromies[region]
     Mt_minus_id = [[M[j][i] - (i == j) for j in range(2)] for i in range(2)]

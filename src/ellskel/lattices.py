@@ -21,9 +21,8 @@ from .exact import (
     mat_copy,
     mat_eq,
     mat_mul,
-    smith_normal_form,
+    smith_form,
     transpose,
-    unimodular_inverse,
     zeros,
 )
 
@@ -143,19 +142,18 @@ def quotient_by(G, K):
     """The form G restricted to a complement of the span of the columns of
     K, which must be saturated and leave a nondegenerate quotient.
 
-    The complement is the last n - r columns of U^-1 for the Smith form
-    U K V of K; a span of rank r < n that lies in the radical of G is the
-    whole radical exactly when both checks pass.
+    The complement is the last n - r columns of U^-1 (`exact.smith_form`)
+    for the Smith form U K V of K; a span of rank r < n that lies in the
+    radical of G is the whole radical exactly when both checks pass.
     """
-    n, r = len(G), len(K[0])
-    S, U, V = smith_normal_form(K)
-    if not all(S[i][i] == 1 for i in range(r)):
+    r = len(K[0])
+    d, Uinv = smith_form(K)
+    if d != [1] * r:
         raise AssertionError("radical basis not saturated")
-    Uinv = unimodular_inverse(U)
     # comp^t G comp over the nonzeros of comp
-    comp = [[(i, Uinv[i][j]) for i in range(n) if Uinv[i][j]] for j in range(r, n)]
-    Gc = [[sum(x * G[i][k] for i, x in c) for k in range(n)] for c in comp]
-    Q = IntLattice([[sum(x * gc[i] for i, x in c) for gc in Gc] for c in comp])
+    comp = [list(c.items()) for c in Uinv[r:]]
+    Q = IntLattice([[sum(x * y * G[i][j] for i, x in a for j, y in b) for b in comp]
+                    for a in comp])
     if Q.det() == 0:
         raise AssertionError("quotient by the radical is degenerate")
     return Q
@@ -228,14 +226,14 @@ def lll_reduce(G):
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7,
     in integers only: d[k + 1] is the leading principal minor of order
     k + 1 of the current Gram matrix (d[0] = 1) and lam[k][l] = d[l + 1]
-    times the Gram-Schmidt coefficient mu_kl.  Returns (G', T) with
-    G' = T^t G T and T unimodular.  G' is size-reduced,
-    |2 lam[k][l]| <= d[l + 1], and satisfies the Lovasz condition
-    100 d[k + 1] d[k - 1] >= 99 d[k]^2 - 100 lam[k][k - 1]^2.
+    times the Gram-Schmidt coefficient mu_kl.  Returns (G', T, T^-1),
+    G' = T^t G T, T unimodular (T^-1 by inverse row operations).  G' is
+    size-reduced, |2 lam[k][l]| <= d[l + 1], and satisfies the Lovasz
+    condition 100 d[k + 1] d[k - 1] >= 99 d[k]^2 - 100 lam[k][k - 1]^2.
     """
     n = len(G)
     G = mat_copy(G)
-    T = identity(n)
+    T, Tinv = identity(n), identity(n)
     d = [1] * (n + 1)
     lam = zeros(n, n)
 
@@ -247,6 +245,7 @@ def lll_reduce(G):
             for row in M:
                 row[k] -= q * row[l]
         G[k] = [a - q * b for a, b in zip(G[k], G[l])]
+        Tinv[l] = [a + q * b for a, b in zip(Tinv[l], Tinv[k])]
         lam[k][l] -= q * d[l + 1]
         for i in range(l):
             lam[k][i] -= q * lam[l][i]
@@ -255,7 +254,8 @@ def lll_reduce(G):
         for M in T, G:
             for row in M:
                 row[k - 1], row[k] = row[k], row[k - 1]
-        G[k - 1], G[k] = G[k], G[k - 1]
+        for M in G, Tinv:
+            M[k - 1], M[k] = M[k], M[k - 1]
         lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
         m = lam[k][k - 1]
         B = (d[k - 1] * d[k + 1] + m * m) // d[k]
@@ -280,7 +280,7 @@ def lll_reduce(G):
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return G, T
+    return G, T, Tinv
 
 
 def short_vectors(G, bound):
@@ -334,7 +334,7 @@ class _Quotient:
         self.radical_rank = len(K[0]) if K and K[0] else 0
         self.quotient = Q
         if Q.is_positive_definite():
-            self.reduced, self.transform = lll_reduce(Q.gram_rows())
+            self.reduced, self.transform, self.inverse = lll_reduce(Q.gram_rows())
         self.bound = 0
         self.by_norm = {}
 
@@ -399,7 +399,7 @@ def is_isometric(L1, L2, witness=False):
         return result(False)
     # G1 = W^t G2 W on the reduced bases, with Gi = Ti^t Qi Ti
     W = transpose(cols)
-    U = mat_mul(B.transform, mat_mul(W, unimodular_inverse(A.transform)))
+    U = mat_mul(B.transform, mat_mul(W, A.inverse))
     if not mat_eq(mat_mul(transpose(U), mat_mul(Q2.gram_rows(), U)), Q1.gram_rows()):
         raise AssertionError("isometry witness fails U^t G2 U = G1")
     if det(U) not in (1, -1):

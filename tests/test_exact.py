@@ -17,15 +17,13 @@ from ellskel.exact import (
     kernel_coordinates,
     mat_eq,
     mat_mul,
-    smith_normal_form,
     snf_diagonal,
     transpose,
-    unimodular_inverse,
     zeros,
 )
 from ellskel.homology import relation_matrix
 
-from test_homology import _route_cases, rank
+from test_homology import _route_cases, rank, smith_normal_form, unimodular_inverse
 
 
 def naive_row_reduce(M):
@@ -130,6 +128,65 @@ def test_snf_transforms_and_divisibility_randomized():
                 assert b % a == 0 or b == 0
             else:
                 assert b == 0
+
+
+def smith_cases():
+    """Inputs for the Smith replay: fixed cases for each rule, random dense
+    ones (zero rows, m < n and m > n), ones without a unit entry, and
+    column HNF bases like the radicals."""
+    rng = random.Random(83)
+    cases = [
+        [[2, 0], [0, 3]],  # 3 % 2: row 1 is added to row 0, then pivot 1
+        [[2, 3]], [[2], [3]],  # a remainder becomes the pivot, clearing again
+        [[-2]], [[0, -3], [0, 0]], [[-1, 0], [0, -4]],  # negative pivots
+        [[4, 6, 10], [6, 9, 15]], [[0, 0], [2, 4], [0, 0]],
+        zeros(2, 3), [], [[], []],
+    ]
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        M = rand_matrix(rng, m, n, -9, 9)
+        for i in rng.sample(range(m), rng.randint(0, m - 1)):
+            M[i] = [0] * n
+        cases.append(M)
+    for _ in range(100):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(sparse_matrix(rng, m, n, 0.6, (2, -2, 3, -4, 6, 9, -10)))
+    for _ in range(100):
+        n = rng.randint(2, 9)
+        B = exact.column_lattice_hnf(
+            rand_matrix(rng, n, rng.randint(1, n - 1), -3, 3))
+        if B:
+            cases.append(B)
+    return cases
+
+
+def test_smith_replay_differential():
+    """`exact.smith_form` against the dense oracle, which builds U and V:
+    the same diagonal, which sympy's Smith form confirms, and the columns
+    of U^-1 for the oracle's U."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    seen = Counter()
+    for M in smith_cases():
+        m, n = exact.shape(M)
+        S, U, _ = smith_normal_form(M)
+        d, W = exact.smith_form(M)
+        assert d == [x for x in (S[i][i] for i in range(min(m, n))) if x], M
+        Uinv = unimodular_inverse(U)
+        assert W == [{i: r[c] for i, r in enumerate(Uinv) if r[c]}
+                     for c in range(m)], M
+        if m and n:
+            Z = sympy_snf(sympy.Matrix(m, n, [x for row in M for x in row]),
+                          domain=sympy.ZZ)
+            assert d == sorted(abs(int(Z[i, i])) for i in range(min(m, n))
+                               if Z[i, i]), M
+        seen["non-unit"] += any(x > 1 for x in d)
+        seen["m < n"] += m < n
+        seen["m > n"] += m > n
+        seen["zero row"] += any(not any(r) for r in M)
+        seen["U moved"] += U != identity(m)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_snf_invariant_under_unimodular_factors():

@@ -15,11 +15,10 @@ from ellskel.exact import (
     hermite_normal_form,
     identity,
     integer_kernel,
+    mat_copy,
     mat_mul,
     shape,
-    smith_normal_form,
     transpose,
-    unimodular_inverse,
     zeros,
 )
 from ellskel.generalized import (
@@ -173,6 +172,109 @@ def h_gamma_marked(sk, kernel, marking):
 def rank(M):
     H, _ = hermite_normal_form(M)
     return sum(1 for row in H if any(row))
+
+
+def smith_normal_form(M):
+    """Oracle: the dense Smith form with both transforms, (S, U, V) with
+    S = U*M*V diagonal, d_1 | d_2 | ..., d_i >= 0, by the rules that
+    `exact.smith_form` replays on sparse rows."""
+    S = mat_copy(M)
+    m, n = shape(S)
+    U = identity(m)
+    V = identity(n)
+
+    def row_op(i, k, q):  # row_i -= q * row_k
+        S[i] = [a - q * b for a, b in zip(S[i], S[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+
+    def col_op(j, k, q):  # col_j -= q * col_k
+        for row in S:
+            row[j] -= q * row[k]
+        for row in V:
+            row[j] -= q * row[k]
+
+    t = 0
+    while True:
+        # locate a minimal nonzero entry in S[t:, t:]
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if S[i][j] != 0 and (
+                    piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]])
+                ):
+                    piv = (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            S[t], S[i] = S[i], S[t]
+            U[t], U[i] = U[i], U[t]
+        if j != t:
+            for row in S:
+                row[t], row[j] = row[j], row[t]
+            for row in V:
+                row[t], row[j] = row[j], row[t]
+        while True:
+            # clear column t
+            again = False
+            for i in range(t + 1, m):
+                if S[i][t] != 0:
+                    q = S[i][t] // S[t][t]
+                    row_op(i, t, q)
+                    if S[i][t] != 0:
+                        S[t], S[i] = S[i], S[t]
+                        U[t], U[i] = U[i], U[t]
+                        again = True
+            if again:
+                continue
+            # clear row t
+            for j in range(t + 1, n):
+                if S[t][j] != 0:
+                    q = S[t][j] // S[t][t]
+                    col_op(j, t, q)
+                    if S[t][j] != 0:
+                        for row in S:
+                            row[t], row[j] = row[j], row[t]
+                        for row in V:
+                            row[t], row[j] = row[j], row[t]
+                        again = True
+            if not again and all(S[i][t] == 0 for i in range(t + 1, m)):
+                break
+        # enforce divisibility of the remaining block by the pivot
+        p = S[t][t]
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if S[i][j] % p != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_op(t, bad, -1)  # add row `bad` to row t, then redo the pivot
+            continue
+        if S[t][t] < 0:
+            S[t] = [-a for a in S[t]]
+            U[t] = [-a for a in U[t]]
+        t += 1
+        if t == min(m, n):
+            break
+    return S, U, V
+
+
+def unimodular_inverse(M):
+    """Inverse of a unimodular integer matrix, as an integer matrix.
+
+    The Hermite form of a unimodular M is the identity, so its transform
+    is the inverse.
+    """
+    m, n = shape(M)
+    if m != n:
+        raise ValueError("matrix is not square")
+    H, U = hermite_normal_form(M)
+    if H != identity(n):
+        raise AssertionError("matrix is not unimodular")
+    return U
 
 
 def mat_inverse(M):
@@ -363,6 +465,57 @@ def test_cycle_radical_matches_gram_kernel():
         assert (radical, T) == radical_and_quotient(IntLattice(hg.gram))
         seen["cycles" if radical[0] else "none"] += 1
     assert seen["cycles"] >= 300 and seen["none"] >= 20, seen
+
+
+def dense_quotient(G, K):
+    """Oracle: the quotient of `lattices.quotient_by` by the dense route,
+    the complement read from U^-1 of the dense Smith form of K."""
+    r = len(K[0])
+    S, U, _ = smith_normal_form(K)
+    assert all(S[i][i] == 1 for i in range(r))
+    comp = [row[r:] for row in unimodular_inverse(U)]
+    return mat_mul(transpose(comp), mat_mul(G, comp))
+
+
+def _labelled_cases():
+    """Labelled skeletons: random ones with up to three random det-1
+    labels, and series trees with one spliced fiber of each kind."""
+    rng = random.Random(89)
+    generators = (X, ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((-1, 0), (0, -1)))
+    for _ in range(120):
+        sk = random_skeleton(rng, rng.choice([2, 4, 6]))
+        labels = [Y] * len(sk.edges)
+        for _ in range(rng.randint(1, 3)):
+            labels[rng.randrange(len(labels))] = gl2_mul(
+                *[rng.choice(generators) for _ in range(rng.randint(1, 4))])
+        heads = tuple(rng.choice(e) for e in sk.edges)
+        yield LabelledSkeleton(sk.n_ends, sk.op, sk.nx, heads, labels)
+    kinds = [("A0**", None), ("E6", None), ("A1*", None), ("E7", None),
+             ("A2*", 0), ("A2*", 1), ("E8", 0), ("E8", 1)]
+    for series in SERIES:
+        for tree in enumerate_marked_trees(series_k(series, 2)):
+            sk, leaves = tree_to_skeleton(tree)
+            lsk = from_skeleton(sk, orientation_for_series(sk, leaves, series))
+            kind, variant = rng.choice(kinds)
+            yield insert_E_fiber(lsk, rng.randrange(len(lsk.edges)), kind, variant)
+
+
+def test_quotient_by_matches_dense_route():
+    """`quotient_by`, whose complement comes from the sparse Smith replay,
+    gives the Gram matrix of the dense route, byte for byte, on the
+    trivalent cycle radicals and on the labelled Gram radicals."""
+    seen = Counter()
+    for route, cases in (("cycles", _route_cases()), ("labelled", _labelled_cases())):
+        for lsk in cases:
+            hg = h_gamma(lsk)
+            if route == "cycles":
+                radical, T = cycle_radical_and_quotient(lsk, hg)
+            else:
+                radical, T = transcendental_lattice(hg)
+            if radical[0]:
+                assert T.gram_rows() == dense_quotient(hg.gram, radical)
+                seen[route] += 1
+    assert seen["cycles"] >= 300 and seen["labelled"] >= 75, seen
 
 
 def _saturation(C):

@@ -266,7 +266,7 @@ def test_short_vectors_differential():
             G = standard_lattice(*rng.choice(roots)).gram_rows()
             n = len(G)
             G = congruent(G, random_unimodular(rng, n, steps=10, q=3))
-        G, _ = lattices.lll_reduce(G)
+        G, _, _ = lattices.lll_reduce(G)
         bound = rng.randint(1, 2 * max(G[i][i] for i in range(n)))
         got = short_vectors(G, bound)
         assert got == fraction_short_vectors(G, bound)
@@ -373,9 +373,9 @@ def congruent(G, U):
 
 
 def test_lll_reduce_property():
-    """T^t G T = G', det T = +-1, and G' is size-reduced and Lovasz-reduced
-    for delta = 99/100, with d_k and lambda_kl recomputed by a Fraction
-    Gram-Schmidt of G'."""
+    """T^t G T = G', det T = +-1, the tracked T^-1 is T's inverse, and G'
+    is size-reduced and Lovasz-reduced for delta = 99/100, with d_k and
+    lambda_kl recomputed by a Fraction Gram-Schmidt of G'."""
     rng = random.Random(67)
     roots = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
     roots += [("E", 6), ("E", 7), ("E", 8)]
@@ -390,9 +390,10 @@ def test_lll_reduce_property():
             G = standard_lattice(*rng.choice(roots)).gram_rows()
             n = len(G)
             G = congruent(G, random_unimodular(rng, n, steps=12, q=3))
-        Gr, T = lattices.lll_reduce(G)
+        Gr, T, Tinv = lattices.lll_reduce(G)
         assert congruent(G, T) == Gr
         assert exact.det(T) in (1, -1)
+        assert mat_mul(T, Tinv) == identity(n) == mat_mul(Tinv, T)
         swaps += T != identity(n)
         B, mu = [], [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
@@ -412,7 +413,7 @@ def test_lll_reduce_property():
             assert (100 * d[k + 1] * d[k - 1]
                     >= 99 * d[k] ** 2 - 100 * lam[k - 1] ** 2)
     assert swaps > 100
-    assert lattices.lll_reduce([]) == ([], [])
+    assert lattices.lll_reduce([]) == ([], [], [])
     for G in [[0]], [[-3]], [[-1, 0], [0, -1]], [[1, 2], [2, 1]]:
         with pytest.raises(ValueError):
             lattices.lll_reduce(G)
