@@ -6,8 +6,8 @@ Subcommands:
     ellskel verify-series {th1.1,th1.2,th1.3,th1.4,all} [--s-max N] [--json]
     ellskel enumerate K [--dedup] [--json]
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
-skeleton, 4 internal assertion failure.
+Exit codes: 0 success, 1 verification failure, 2 unreadable file or parse
+error, 3 invalid skeleton, 4 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ def _flat(val):
 
 def cmd_analyze(args, out):
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     parsed = skelfile.parse(text)

@@ -5,11 +5,11 @@ No floating point is used anywhere in this package.
 
 Conventions:
 
-* ``hermite_normal_form(M)`` returns ``(H, U)`` with ``H = U*M``, U
-  unimodular.  ``smith_form(M)`` replays the Smith elimination
-  ``S = U*M*V`` on sparse rows and returns S's nonzero diagonal and the
-  columns of ``U^-1``, built from the inverse of each row operation; it
-  builds neither U nor V.
+* ``hermite_form(M)`` is the row-style Hermite form of M, which depends
+  only on the lattice spanned by M's rows.  ``smith_form(M)`` replays
+  the Smith elimination ``S = U*M*V`` on sparse rows and returns S's
+  nonzero diagonal and the columns of ``U^-1``, built from the inverse of
+  each row operation; it builds neither U nor V.
 * ``integer_kernel(M)`` returns a matrix whose *columns* form a basis of
   ``{x : M x = 0}``; its transpose is in Hermite form, and
   ``kernel_coordinates`` solves sparse vectors against such a basis.
@@ -19,10 +19,10 @@ Conventions:
 A sparse matrix is a pair ``(rows, n)``: a ``{column: entry}`` dict of
 the nonzeros of each row, and the column count.  Kernels and cokernels
 first eliminate its ±1 pivots (``_eliminate_units``), in one sweep over
-the columns from the last to the first, and run the dense HNF (kernel)
-or the Smith replay (cokernel) only on the residual.  The kernel is
-lifted back through the pivot rows, which that order makes nearly
-canonical, and HNF-canonicalized.
+the columns from the last to the first, and run the dense Hermite form
+(kernel) or the Smith replay (cokernel) only on the residual.  The
+kernel is lifted back through the pivot rows, which that order makes
+nearly canonical, and HNF-canonicalized.
 ``kernel_and_cokernel`` takes both from one elimination.
 """
 
@@ -105,12 +105,6 @@ def mat_mul(A, B):
     return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
-def mat_eq(A, B):
-    return shape(A) == shape(B) and all(
-        a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb)
-    )
-
-
 def mat_vec(A, v):
     if any(len(r) != len(v) for r in A):
         raise ValueError("dimension mismatch")
@@ -126,22 +120,10 @@ def is_symmetric(M):
 # normal forms
 
 
-def hermite_normal_form(M):
-    """Row-style Hermite form: returns (H, U) with H = U*M, U unimodular.
-
-    H is in row echelon form with positive pivots; entries above each pivot
-    are reduced into [0, pivot).
-    """
-    return _hermite(M, identity(len(M)))
-
-
 def hermite_form(M):
-    """The H of `hermite_normal_form(M)`, without building U."""
-    return _hermite(M, [[] for _ in M])[0]
-
-
-def _hermite(M, U):
-    """(H, U) for M, every row operation on H applied to U's rows too."""
+    """Row-style Hermite form: H is in row echelon form with positive
+    pivots, entries above each pivot reduced into [0, pivot), and the same
+    for every M whose rows span the same lattice."""
     H = mat_copy(M)
     m, n = shape(H)
     r = 0
@@ -155,7 +137,6 @@ def _hermite(M, U):
             piv = min(nz, key=lambda i: abs(H[i][j]))
             if piv != r:
                 H[r], H[piv] = H[piv], H[r]
-                U[r], U[piv] = U[piv], U[r]
             if len(nz) == 1:
                 break
             done = True
@@ -163,7 +144,6 @@ def _hermite(M, U):
                 if H[i][j] != 0:
                     q = H[i][j] // H[r][j]
                     H[i][j:] = [a - q * b for a, b in zip(H[i][j:], H[r][j:])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
                     if H[i][j] != 0:
                         done = False
             if done:
@@ -171,17 +151,15 @@ def _hermite(M, U):
         if r < m and H[r][j] != 0:
             if H[r][j] < 0:
                 H[r] = [-a for a in H[r]]
-                U[r] = [-a for a in U[r]]
             p = H[r][j]
             for i in range(r):
                 q = H[i][j] // p
                 if q:
                     H[i][j:] = [a - q * b for a, b in zip(H[i][j:], H[r][j:])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
             r += 1
             if r == m:
                 break
-    return H, U
+    return H
 
 
 def _axpy(a, b, q):
@@ -278,12 +256,6 @@ def smith_form(M):
     return [S[i][i] for i in range(t)], W
 
 
-def snf_diagonal(M):
-    """The diagonal of the Smith form of M, zeros included."""
-    d = smith_form(M)[0]
-    return d + [0] * (min(shape(M)) - len(d))
-
-
 def sparse(M):
     """The sparse matrix (rows, n) of a dense one."""
     _, n = shape(M)
@@ -378,11 +350,13 @@ def _lift(n, pivots, rest, residual):
     """A basis of the kernel, as rows: a Hermite basis of the residual's
     kernel on the surviving columns, lifted through the pivot rows."""
     if residual:
-        # zero rows of H correspond to rows of U spanning the residual kernel
-        H, U = hermite_normal_form(transpose(residual))
-        free = [U[i] for i in range(len(rest)) if not any(H[i])]
-        if free:
-            free = hermite_form(free)
+        # each row of the Hermite form of [R^t | I] is [u R^t | u] for a
+        # row u of a unimodular U; the rows with u R^t = 0 come after the
+        # pivots of R^t, span R's kernel and are in Hermite form themselves
+        r = len(residual)
+        H = hermite_form([c + e for c, e in
+                          zip(transpose(residual), identity(len(rest)))])
+        free = [row[r:] for row in H if not any(row[:r])]
     else:
         free = identity(len(rest))
     if not free:
@@ -407,7 +381,7 @@ def _kernel(n, pivots, rest, residual):
 
 
 def _cokernel(rest, residual):
-    nz = [d for d in snf_diagonal(residual) if d]
+    nz = smith_form(residual)[0]
     return AbelianInvariants(len(rest) - len(nz), tuple(d for d in nz if d > 1))
 
 

@@ -19,7 +19,6 @@ from .exact import (
     identity,
     integer_kernel,
     mat_copy,
-    mat_eq,
     mat_mul,
     smith_form,
     transpose,
@@ -69,7 +68,7 @@ class IntLattice:
 
 
 def standard_lattice(name, n):
-    """Gram matrix of A_n, D_n, E_n, U, V_n or W_n (definite sign convention)."""
+    """Gram matrix of A_n, D_n, V_n or W_n (definite sign convention)."""
     if name == "A":
         if n < 1:
             raise ValueError("A_n needs n >= 1")
@@ -95,21 +94,6 @@ def standard_lattice(name, n):
             G[i][i + 1] = G[i + 1][i] = -1
         G[n - 3][n - 1] = G[n - 1][n - 3] = -1
         return IntLattice(G)
-    if name == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E_n needs n in {6,7,8}")
-        G = [[0] * n for _ in range(n)]
-        for i in range(n):
-            G[i][i] = 2
-        # chain 0-1-...-(n-2), extra node n-1 attached at position 2
-        for i in range(n - 2):
-            G[i][i + 1] = G[i + 1][i] = -1
-        G[2][n - 1] = G[n - 1][2] = -1
-        return IntLattice(G)
-    if name == "U":
-        if n != 2:
-            raise ValueError("U has rank 2")
-        return IntLattice([[0, 1], [1, 0]])
     if name == "V":
         if n < 0:
             raise ValueError("V_n needs n >= 0")
@@ -400,7 +384,7 @@ def is_isometric(L1, L2, witness=False):
     # G1 = W^t G2 W on the reduced bases, with Gi = Ti^t Qi Ti
     W = transpose(cols)
     U = mat_mul(B.transform, mat_mul(W, A.inverse))
-    if not mat_eq(mat_mul(transpose(U), mat_mul(Q2.gram_rows(), U)), Q1.gram_rows()):
+    if mat_mul(transpose(U), mat_mul(Q2.gram_rows(), U)) != Q1.gram_rows():
         raise AssertionError("isometry witness fails U^t G2 U = G1")
     if det(U) not in (1, -1):
         raise AssertionError(f"isometry witness has det {det(U)}, not +-1")

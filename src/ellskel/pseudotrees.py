@@ -49,13 +49,6 @@ def enumerate_marked_trees(k):
     return list(gen(k - 1))
 
 
-def tree_size(tree):
-    """Number of binary-tree nodes; the admissible tree has 2(k) vertices."""
-    if tree is None:
-        return 0
-    return 1 + tree_size(tree[0]) + tree_size(tree[1])
-
-
 @dataclass(frozen=True)
 class Leaf:
     tree_end: int  # the end on the admissible tree

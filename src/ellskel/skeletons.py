@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from . import lattices
 from .exact import identity, mat_mul
 
 X = ((-1, 1), (-1, 0))
@@ -157,11 +156,6 @@ class Orientation:
         object.__setattr__(self, "heads", tuple(self.heads))
 
 
-def default_orientation(sk):
-    """Heads at the smaller end of each edge."""
-    return Orientation(tuple(a for a, _ in sk.edges))
-
-
 def orientation_classes(sk):
     """The smallest orientation of each class modulo vertex flips, in order.
 
@@ -268,13 +262,6 @@ class FiberType:
     @property
     def stable(self):
         return self.kind == "A"
-
-    def root_lattice(self):
-        if self.kind == "D":
-            return lattices.standard_lattice("D", self.n_gon + 4)
-        if self.n_gon == 1:
-            return lattices.IntLattice([])
-        return lattices.standard_lattice("A", self.n_gon - 1)
 
 
 def fiber_types(lsk):

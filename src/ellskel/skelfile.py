@@ -43,25 +43,24 @@ class ParseError(ValueError):
 def _parse_cycles(text, n, line_no):
     if not re.fullmatch(r"\s*(\([^()]*\)\s*)+", text):
         raise ParseError("expected cycle notation like (0 1 2)(3 4 5)", line_no)
-    perm = list(range(n))
-    seen = set()
+    # nothing of size n is built before the cycles list n ends, since n
+    # comes from the file and may be far larger than the file itself
+    perm = {}
     for m in re.finditer(r"\(([^()]*)\)", text):
         try:
             cyc = [int(tok) for tok in m.group(1).split()]
         except ValueError:
             raise ParseError(f"non-integer entry in cycle ({m.group(1)})", line_no)
-        for x in cyc:
-            if not 0 <= x < n:
-                raise ParseError(f"end {x} out of range 0..{n - 1}", line_no)
-            if x in seen:
-                raise ParseError(f"end {x} appears twice", line_no)
-            seen.add(x)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if not 0 <= a < n:
+                raise ParseError(f"end {a} out of range 0..{n - 1}", line_no)
+            if a in perm:
+                raise ParseError(f"end {a} appears twice", line_no)
             perm[a] = b
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
-        raise ParseError(f"ends {missing} missing from permutation", line_no)
-    return tuple(perm)
+    if len(perm) != n:
+        missing = next(x for x in range(n) if x not in perm)
+        raise ParseError(f"end {missing} missing from permutation", line_no)
+    return tuple(perm[x] for x in range(n))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from test_homology import (
     through_expansion,
     tripod_relations,
 )
-from test_skeletons import random_skeleton, reorient
+from test_skeletons import random_skeleton, reorient, root_lattice
 
 POOL_SIZE = 1000
 
@@ -81,7 +81,7 @@ def pool_results(pool):
     def disc_torsion(ft):
         key = (ft.kind, ft.n_gon)
         if key not in disc_cache:
-            disc_cache[key] = discriminant(ft.root_lattice()).invariants.torsion
+            disc_cache[key] = discriminant(root_lattice(ft)).invariants.torsion
         return disc_cache[key]
 
     for sk, o in pool:

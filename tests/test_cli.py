@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from ellskel.skeletons import (
     SkeletonError,
     X,
     Y,
-    default_orientation,
     fiber_types,
     gl2_apply,
     gl2_mul,
@@ -41,6 +41,7 @@ from ellskel.skeletons import (
 from test_skeletons import (
     PSEUDOTREE_K1,
     all_orientations,
+    default_orientation,
     perm_from_cycles,
     random_skeleton,
     reorient,
@@ -115,6 +116,24 @@ def test_parse_error_carries_line_number():
         assert "line 2" in str(e)
     else:
         raise AssertionError("no error raised")
+
+
+def test_huge_end_count_is_rejected_without_allocation(tmp_path, capsys):
+    """The end count comes from the file: nothing of that size is built
+    before the cycles have listed that many ends."""
+    text = "ends: 6000000000000\nnx: (0 1 2)\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(skelfile.ParseError, match="line 2: end 3 missing"):
+            skelfile.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    f = tmp_path / "huge.skel"
+    f.write_text(text)
+    code, _, err = run_cli(capsys, "analyze", str(f))
+    assert code == 2 and err.startswith("parse error: line 2:") and "missing" in err
 
 
 def test_head_validation():
@@ -294,6 +313,15 @@ def test_analyze_chain_k256(tmp_path, capsys):
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/path.skel")
     assert code == 2
+
+
+def test_analyze_non_utf8_file_exit_2(tmp_path, capsys):
+    f = tmp_path / "bytes.skel"
+    f.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, "analyze", str(f))
+    assert code == 2
+    assert err.startswith("error: ") and "codec can't decode" in err
+    assert "Traceback" not in err
 
 
 def test_orientation_sweep(tmp_path, capsys):

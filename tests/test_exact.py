@@ -11,19 +11,57 @@ from ellskel.exact import (
     cokernel_invariants,
     det,
     hermite_form,
-    hermite_normal_form,
     identity,
     integer_kernel,
     kernel_coordinates,
-    mat_eq,
     mat_mul,
-    snf_diagonal,
     transpose,
     zeros,
 )
 from ellskel.homology import relation_matrix
 
 from test_homology import _route_cases, rank, smith_normal_form, unimodular_inverse
+
+
+def hermite_normal_form(M):
+    """Oracle: the dense row-style Hermite form with its transform, (H, U)
+    with H = U*M and U unimodular, by the rules of `exact.hermite_form`."""
+    H = [list(r) for r in M]
+    m, n = exact.shape(H)
+    U = identity(m)
+    r = 0
+    for j in range(n):
+        while True:
+            nz = [i for i in range(r, m) if H[i][j]]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(H[i][j]))
+            if piv != r:
+                H[r], H[piv] = H[piv], H[r]
+                U[r], U[piv] = U[piv], U[r]
+            if len(nz) == 1:
+                break
+            done = True
+            for i in range(r + 1, m):
+                if H[i][j] != 0:
+                    q = H[i][j] // H[r][j]
+                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+                    done = done and H[i][j] == 0
+            if done:
+                break
+        if r < m and H[r][j] != 0:
+            if H[r][j] < 0:
+                H[r] = [-a for a in H[r]]
+                U[r] = [-a for a in U[r]]
+            for i in range(r):
+                q = H[i][j] // H[r][j]
+                H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+                U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+            r += 1
+            if r == m:
+                break
+    return H, U
 
 
 def naive_row_reduce(M):
@@ -71,17 +109,17 @@ def rand_unimodular(rng, n, steps=12):
 
 def test_hnf_identity_and_zero():
     H, U = hermite_normal_form(identity(2))
-    assert mat_eq(H, identity(2)) and mat_eq(U, identity(2))
+    assert H == identity(2) and U == identity(2)
     Z = zeros(3, 2)
     H, U = hermite_normal_form(Z)
-    assert mat_eq(H, Z)
+    assert H == Z
     assert abs(det(U)) == 1
 
 
 def test_hnf_small_example():
     M = [[2, 4], [1, 3]]
     H, U = hermite_normal_form(M)
-    assert mat_eq(mat_mul(U, M), H)
+    assert mat_mul(U, M) == H
     assert abs(det(U)) == 1
     # fully reduced row-style form of [[2,4],[1,3]]
     assert H == [[1, 1], [0, 2]]
@@ -96,9 +134,10 @@ def test_hnf_matches_naive_oracle_randomized():
         n = rng.randint(1, 5)
         M = rand_matrix(rng, m, n)
         H, U = hermite_normal_form(M)
-        assert mat_eq(mat_mul(U, M), H)
+        assert mat_mul(U, M) == H
         assert abs(det(U)) == 1
         assert H == naive_row_reduce(M)
+        assert hermite_form(M) == H
 
 
 def test_snf_examples():
@@ -119,7 +158,7 @@ def test_snf_transforms_and_divisibility_randomized():
         S, U, V = smith_normal_form(M)
         assert abs(det(U)) == 1
         assert abs(det(V)) == 1
-        assert mat_eq(mat_mul(mat_mul(U, M), V), S)
+        assert mat_mul(mat_mul(U, M), V) == S
         d = [S[i][i] for i in range(min(m, n))]
         assert all(S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
         assert all(x >= 0 for x in d)
@@ -197,7 +236,8 @@ def test_snf_invariant_under_unimodular_factors():
         M = rand_matrix(rng, m, n)
         A = rand_unimodular(rng, m)
         B = rand_unimodular(rng, n)
-        assert snf_diagonal(M) == snf_diagonal(mat_mul(mat_mul(A, M), B))
+        AMB = mat_mul(mat_mul(A, M), B)
+        assert exact.smith_form(M)[0] == exact.smith_form(AMB)[0]
 
 
 def test_kernel_examples():
@@ -221,7 +261,7 @@ def test_kernel_annihilated_and_saturated():
         if cols:
             assert all(all(x == 0 for x in row) for row in mat_mul(M, K))
             # saturation: SNF divisors of the basis matrix are all 1
-            assert all(d == 1 for d in snf_diagonal(K))
+            assert exact.smith_form(K)[0] == [1] * cols
         assert cols == n - rank(M)
 
 
@@ -275,7 +315,7 @@ def test_unimodular_inverse():
         n = rng.randint(1, 5)
         U = rand_unimodular(rng, n)
         Ui = unimodular_inverse(U)
-        assert mat_eq(mat_mul(U, Ui), identity(n))
+        assert mat_mul(U, Ui) == identity(n)
 
 
 def dense_kernel_coordinates(K, v):
@@ -391,7 +431,7 @@ def dense_integer_kernel(M):
 def dense_cokernel_invariants(M):
     """Oracle: the SNF of the whole of M."""
     m, n = exact.shape(M)
-    nonzero = [d for d in snf_diagonal(M) if d != 0]
+    nonzero = exact.smith_form(M)[0]
     return AbelianInvariants(n - len(nonzero), tuple(d for d in nonzero if d > 1))
 
 
@@ -567,6 +607,36 @@ def test_sweep_lift_is_canonical():
         assert basis == hermite_form(basis), (rows, n)
         seen["residual" if residual else "no residual"] += 1
     assert seen["no residual"] >= 50 and seen["residual"] >= 100, seen
+
+
+def test_residual_kernel_matches_oracle():
+    """`_lift` reads the residual's kernel from one Hermite form of
+    [R^t | I]: the rows of the dense route, the rows of U at the zero rows
+    of H = U R^t, Hermite-canonicalized."""
+    rng = random.Random(1616)
+    entries = {
+        "units": lambda: rng.choice((1, -1, 0)),
+        "gcd > 1": lambda: rng.choice((2, -4, 6, 0)),
+        "large odd": lambda: rng.randrange(-10**6 + 1, 10**6, 2),  # like D's
+        "mixed": lambda: rng.choice((0, 1, -1, 3, -5, rng.randrange(-999, 1000, 2))),
+    }
+    seen = Counter()
+    for _ in range(600):
+        kind = rng.choice(sorted(entries))
+        m, n = rng.randint(1, 3), rng.randint(1, 10)
+        R = [[entries[kind]() for _ in range(n)] for _ in range(m)]
+        for j in rng.sample(range(n), rng.randint(0, n // 3)):
+            for row in R:
+                row[j] = 0
+        H, U = hermite_normal_form(transpose(R))
+        free = [u for u, h in zip(U, H) if not any(h)]
+        assert exact._lift(n, [], list(range(n)), R) == (
+            hermite_form(free) if free else []), R
+        seen[kind] += 1
+        seen["zero column"] += not all(map(any, zip(*R)))
+        seen["no kernel"] += not free
+        seen["rank < rows"] += len(free) > n - m
+    assert min(seen.values()) >= 30, seen
 
 
 def is_hermite(H):

@@ -27,14 +27,13 @@ from ellskel.skeletons import (
     SkeletonError,
     X,
     Y,
-    default_orientation,
     gl2_mul,
     region_monodromy,
 )
 from ellskel.skelfile import parse
 
 from test_homology import through_expansion
-from test_skeletons import perm_from_cycles, random_skeleton
+from test_skeletons import default_orientation, perm_from_cycles, random_skeleton
 
 YT = tuple(tuple(r) for r in Y)
 

@@ -12,7 +12,7 @@ from ellskel.exact import (
     cokernel_invariants,
     column_lattice_hnf,
     det,
-    hermite_normal_form,
+    hermite_form,
     identity,
     integer_kernel,
     mat_copy,
@@ -49,7 +49,6 @@ from ellskel.skeletons import (
     X,
     Y,
     Orientation,
-    default_orientation,
     fiber_types,
     gl2_mul,
     orientation_classes,
@@ -59,9 +58,11 @@ from test_skeletons import (
     PSEUDOTREE_K1,
     THETA_PLANAR,
     THETA_TORUS,
+    default_orientation,
     k1_all_A_orientation,
     random_skeleton,
     reorient,
+    root_lattice,
 )
 
 
@@ -170,8 +171,7 @@ def h_gamma_marked(sk, kernel, marking):
 
 
 def rank(M):
-    H, _ = hermite_normal_form(M)
-    return sum(1 for row in H if any(row))
+    return sum(1 for row in hermite_form(M) if any(row))
 
 
 def smith_normal_form(M):
@@ -265,16 +265,15 @@ def smith_normal_form(M):
 def unimodular_inverse(M):
     """Inverse of a unimodular integer matrix, as an integer matrix.
 
-    The Hermite form of a unimodular M is the identity, so its transform
-    is the inverse.
+    The Hermite form of [M | I] is [I | M^-1] exactly when M is unimodular.
     """
     m, n = shape(M)
     if m != n:
         raise ValueError("matrix is not square")
-    H, U = hermite_normal_form(M)
-    if H != identity(n):
+    H = hermite_form([list(row) + e for row, e in zip(M, identity(n))])
+    if [row[:n] for row in H] != identity(n):
         raise AssertionError("matrix is not unimodular")
-    return U
+    return [row[n:] for row in H]
 
 
 def mat_inverse(M):
@@ -593,7 +592,7 @@ def test_region_cohomology_types():
                 expected = (4,) if n % 2 else (2, 2)
             assert inv.torsion == expected
             # matches the discriminant group of the fiber root lattice
-            d = discriminant(ft.root_lattice())
+            d = discriminant(root_lattice(ft))
             assert inv.torsion == d.invariants.torsion
 
 
