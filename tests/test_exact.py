@@ -110,10 +110,12 @@ def rand_unimodular(rng, n, steps=12):
 def test_hnf_identity_and_zero():
     H, U = hermite_normal_form(identity(2))
     assert H == identity(2) and U == identity(2)
+    assert hermite_form(identity(2)) == H
     Z = zeros(3, 2)
     H, U = hermite_normal_form(Z)
     assert H == Z
     assert abs(det(U)) == 1
+    assert hermite_form(Z) == H
 
 
 def test_hnf_small_example():
@@ -125,6 +127,7 @@ def test_hnf_small_example():
     assert H == [[1, 1], [0, 2]]
     oracle = naive_row_reduce(M)
     assert H == oracle
+    assert hermite_form(M) == H
 
 
 def test_hnf_matches_naive_oracle_randomized():
@@ -409,6 +412,7 @@ def test_hnf_idempotent(m, n, seed):
     H, _ = hermite_normal_form(M)
     H2, _ = hermite_normal_form(H)
     assert H == H2
+    assert hermite_form(M) == H and hermite_form(H) == H
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +514,11 @@ def differential_cases():
     for _ in range(30):  # loop blocks, entries ±2: the sweep skips columns
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         cases.append(loop_relation_matrix(rng, rows, cols))
+    odd = [rng.randrange(-10**6 + 1, 10**6, 2) for _ in range(8)]  # like D's
+    for values in ((1, -1, 0), (2, -4, 6, 0), odd, odd + [0, 1, -1, 3]):
+        for _ in range(15):  # residual-sized: 1-3 rows, up to 10 columns
+            m, n = rng.randint(1, 3), rng.randint(1, 10)
+            cases.append(zero_out(rng, sparse_matrix(rng, m, n, 0.8, values)))
     return cases
 
 
@@ -611,32 +620,12 @@ def test_sweep_lift_is_canonical():
 
 def test_residual_kernel_matches_oracle():
     """`_lift` reads the residual's kernel from one Hermite form of
-    [R^t | I]: the rows of the dense route, the rows of U at the zero rows
-    of H = U R^t, Hermite-canonicalized."""
-    rng = random.Random(1616)
-    entries = {
-        "units": lambda: rng.choice((1, -1, 0)),
-        "gcd > 1": lambda: rng.choice((2, -4, 6, 0)),
-        "large odd": lambda: rng.randrange(-10**6 + 1, 10**6, 2),  # like D's
-        "mixed": lambda: rng.choice((0, 1, -1, 3, -5, rng.randrange(-999, 1000, 2))),
-    }
-    seen = Counter()
-    for _ in range(600):
-        kind = rng.choice(sorted(entries))
-        m, n = rng.randint(1, 3), rng.randint(1, 10)
-        R = [[entries[kind]() for _ in range(n)] for _ in range(m)]
-        for j in rng.sample(range(n), rng.randint(0, n // 3)):
-            for row in R:
-                row[j] = 0
-        H, U = hermite_normal_form(transpose(R))
-        free = [u for u, h in zip(U, H) if not any(h)]
-        assert exact._lift(n, [], list(range(n)), R) == (
-            hermite_form(free) if free else []), R
-        seen[kind] += 1
-        seen["zero column"] += not all(map(any, zip(*R)))
-        seen["no kernel"] += not free
-        seen["rank < rows"] += len(free) > n - m
-    assert min(seen.values()) >= 30, seen
+    [R^t | I]; the dense route takes the rows of U at the zero rows of
+    H = U R^t and Hermite-canonicalizes them."""
+    for R in differential_cases():
+        n = len(R[0])
+        assert exact._lift(n, [], list(range(n)), R) == transpose(
+            dense_integer_kernel(R)), R
 
 
 def is_hermite(H):
