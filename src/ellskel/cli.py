@@ -4,7 +4,7 @@ Subcommands:
 
     ellskel analyze FILE [--json] [--orientation-sweep]
     ellskel verify-series {th1.1,th1.2,th1.3,th1.4,all} [--s-max N] [--json]
-    ellskel enumerate K [--dedup] [--json]
+    ellskel enumerate K [--dedup] [--json]    (1 <= K <= MAX_TREE_SIZE = 16)
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable file or parse
 error, 3 invalid skeleton, 4 internal assertion failure.
@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from . import generalized, homology, skelfile
 from .lattices import is_isometric
@@ -285,6 +286,18 @@ def _positive_int(text):
     return value
 
 
+# `enumerate` lists all Catalan(K - 1) trees: 9.7 million at K = 16
+MAX_TREE_SIZE = 16
+
+
+def _tree_size(text):
+    value = _positive_int(text)
+    if value > MAX_TREE_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_TREE_SIZE}, got {value}")
+    return value
+
+
+@cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="ellskel",
@@ -305,7 +318,7 @@ def build_parser():
     pv.set_defaults(func=cmd_verify_series)
 
     pe = sub.add_parser("enumerate", help="all loop-decorated trees of size k")
-    pe.add_argument("k", type=_positive_int)
+    pe.add_argument("k", type=_tree_size, help=f"number of loops, 1 to {MAX_TREE_SIZE}")
     pe.add_argument("--dedup", action="store_true")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_enumerate)

@@ -140,10 +140,13 @@ def scaled_form(lsk):
 
 
 def _restrict_scaled_form(K, F, scale):
-    """K^t F K / scale for a basis K (columns) and the sparse rows F,
-    summed over the nonzeros."""
+    """K^t F K / scale for a basis K (columns) and the sparse rows F, which
+    must be symmetric: the entries (b, a) with a <= b are summed over the
+    nonzeros and mirrored."""
+    if any(F[j].get(i) != f for i, row in enumerate(F) for j, f in row.items()):
+        raise AssertionError("scaled form is not symmetric")
     d = len(K[0]) if K else 0
-    Ks = [[(b, y) for b, y in enumerate(r) if y] for r in K]
+    Ks = [[(b, r[b]) for b in compress(range(d), r)] for r in K]
     G = [[0] * d for _ in range(d)]
     for ki, row in zip(Ks, F):
         if not ki:
@@ -152,17 +155,17 @@ def _restrict_scaled_form(K, F, scale):
         for j, f in row.items():
             for b, y in Ks[j]:
                 fk[b] += f * y
-        fk = [(b, y) for b, y in enumerate(fk) if y]
-        for a, x in ki:
-            g = G[a]
-            for b, y in fk:
-                g[b] += x * y
+        a0 = ki[0][0]
+        for b in compress(range(a0, d), fk[a0:]):
+            g, y = G[b], fk[b]
+            for a, x in ki:
+                if a > b:
+                    break
+                g[a] += x * y
     if any(x % scale for row in G for x in row):
         raise AssertionError("restricted form is not integral")
-    out = [[x // scale for x in row] for row in G]
-    if any(out[i][j] != out[j][i] for i in range(d) for j in range(i)):
-        raise AssertionError("restricted form is not symmetric")
-    return out
+    lower = [[x // scale for x in row] for row in G]
+    return [r[:a] + list(c[a:]) for a, (r, c) in enumerate(zip(lower, zip(*lower)))]
 
 
 class HGamma(NamedTuple):
@@ -294,20 +297,23 @@ def kernel_cycles_span_radical(lsk, hg, radical):
 def region_cohomology(lsk, region):
     """Cohomology of a fiber neighbourhood boundary over one region.
 
-    Returns the group invariants: the quotient of one H* copy per boundary
-    position of the region walk by the transport relations.  Its torsion
-    is cross-checked against Coker(M^t - id) for the full boundary
-    monodromy M.
+    Returns the group invariants: the quotient of one H* copy per end of
+    the region walk by the transport relations, each op lift folded into
+    the -X step after it.  Its torsion is cross-checked against
+    Coker(M^t - id) for the full boundary monodromy M.
     """
-    steps = [m for _, m in region_steps(lsk, region.cycle)]
-    N = len(steps)  # boundary positions
+    walk = region_steps(lsk, region.cycle)
+    steps = [_block(m2, m1) for (_, m1), (_, m2) in zip(walk, walk)]
+    N = len(steps)  # boundary positions, one per end
     R = []
     for i, m in enumerate(steps):
         # m transports from position i to position i+1 (mod N); the row of
         # covector e_c is e_c at i+1 minus m^t e_c at i: (i, c') gets
-        # -m[c][c'].  N >= 2, so the two blocks never share a column
+        # -m[c][c'].  With N = 1 both blocks are the same two columns
         for c, (a, b) in enumerate(m):
-            row = {2 * ((i + 1) % N) + c: 1, 2 * i: -a, 2 * i + 1: -b}
+            row = {2 * i: -a, 2 * i + 1: -b}
+            to = 2 * ((i + 1) % N) + c
+            row[to] = row.get(to, 0) + 1
             R.append({j: x for j, x in row.items() if x})
     inv = sparse_cokernel(R, 2 * N)
     M = lsk.monodromies[region]

@@ -14,7 +14,6 @@ from operator import mul
 
 from . import exact
 from .exact import (
-    bareiss,
     det,
     identity,
     integer_kernel,
@@ -52,7 +51,7 @@ class IntLattice:
 
     @cached_property
     def _bareiss(self):
-        return bareiss(self.gram)
+        return symmetric_bareiss(self.gram)
 
     def det(self):
         return self._bareiss[0]
@@ -65,6 +64,62 @@ class IntLattice:
         n, m = self.rank, other.rank
         return IntLattice([list(r) + [0] * m for r in self.gram]
                           + [[0] * n + list(r) for r in other.gram])
+
+
+def _swap(A, k, i):
+    """Swap indices k < i of the symmetric matrix kept as its upper
+    triangle A, in the block of indices >= k."""
+    rk, ri = A[k], A[i]
+    rk[k], ri[i] = ri[i], rk[k]
+    for t in range(k + 1, i):
+        rk[t], A[t][i] = A[t][i], rk[t]
+    rk[i + 1:], ri[i + 1:] = ri[i + 1:], rk[i + 1:]
+
+
+def _add(A, j, k):
+    """Add index j > k into index k, row and column, in the block of indices
+    >= k of the symmetric matrix kept as its upper triangle A."""
+    rk = A[k]
+    rk[k] += 2 * rk[j] + A[j][j]
+    for t in range(k + 1, len(A)):
+        rk[t] += A[j][t] if t >= j else A[t][j]
+
+
+def symmetric_bareiss(G):
+    """(det G, whether every leading principal minor of G is positive) for a
+    symmetric G, by one fraction-free elimination of its upper triangle.
+
+    The entries of step k are bordered minors, symmetric in their borders,
+    so only j >= i is kept.  A zero row k gives det 0.  Any other zero
+    pivot becomes a unimodular congruence of the remaining block, which
+    keeps the det and the bordered minors: a swap with a later nonzero
+    diagonal entry, or, with none, adding row and column j (A[k][j] != 0)
+    to k, which makes the pivot 2 A[k][j].  Without a congruence the pivot
+    of step k is the leading principal minor of order k + 1, so a
+    congruence or a pivot <= 0 decides the second (Sylvester's criterion).
+    """
+    A = [list(r) for r in G]
+    n = len(A)
+    prev = 1
+    minors_positive = True
+    for k in range(n):
+        rk = A[k]
+        minors_positive = minors_positive and rk[k] > 0
+        if rk[k] == 0:
+            j = next((j for j in range(k + 1, n) if rk[j]), None)
+            if j is None:
+                return 0, False
+            i = next((i for i in range(k + 1, n) if A[i][i]), None)
+            if i is not None:
+                _swap(A, k, i)
+            else:
+                _add(A, j, k)
+        p = rk[k]
+        for i in range(k + 1, n):
+            a, ri = rk[i], A[i]
+            ri[i:] = [(x * p - a * y) // prev for x, y in zip(ri[i:], rk[i:])]
+        prev = p
+    return prev, minors_positive
 
 
 def standard_lattice(name, n):

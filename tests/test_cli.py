@@ -19,7 +19,7 @@ from ellskel import (
     skelfile,
     skeletons,
 )
-from ellskel.cli import main, orientation_sweep
+from ellskel.cli import MAX_TREE_SIZE, main, orientation_sweep
 from ellskel.generalized import from_skeleton, insert_E_fiber
 from ellskel.pseudotrees import (
     SERIES,
@@ -310,6 +310,19 @@ def test_analyze_chain_k256(tmp_path, capsys):
         "48c05b4710382a0927fafa08000c1d12866bcdc2a0aae3228a268add4d868a27")
 
 
+@pytest.mark.slow
+def test_analyze_chain_k512(tmp_path, capsys):
+    """The k = 512 chain tree, end to end, byte for byte; no time bound.
+    Its T is the largest symmetric elimination of the pins."""
+    code, out, err = run_cli(capsys, "analyze", str(chain_file(tmp_path, 512)), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["invariants"]["k"] == 512
+    assert doc["invariants"]["rank_T"] == doc["transcendental"]["rank"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "02e10273b679227af6011287170cd3eb08128b217cb210aea2b13e69a1fb4f4a")
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/path.skel")
     assert code == 2
@@ -399,6 +412,37 @@ def test_enumerate_rejects_k_below_1(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+
+
+def test_enumerate_rejects_k_above_ceiling(capsys):
+    """K past MAX_TREE_SIZE is a usage error, not a RecursionError."""
+    for k in (MAX_TREE_SIZE + 1, 1200):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", str(k)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"must be at most {MAX_TREE_SIZE}" in captured.err and captured.out == ""
+
+
+def test_asymmetric_form_exit_4(tmp_path, capsys, monkeypatch):
+    """A scaled form with one off-diagonal entry changed ends `analyze`
+    with exit code 4, trivalent and labelled."""
+    scaled_form = homology.scaled_form
+
+    def skewed(lsk):
+        F, n = scaled_form(lsk)
+        i, j = next((i, j) for i, row in enumerate(F) for j in row if i != j)
+        F[i][j] += homology.form_scale(lsk)
+        return F, n
+
+    f = chain_file(tmp_path, 3)
+    lsk = insert_E_fiber(from_skeleton(*skelfile.parse(f.read_text())), 0, "E6", None)
+    g = tmp_path / "labelled.skel"
+    g.write_text(skelfile.format_labelled(lsk))
+    monkeypatch.setattr(homology, "scaled_form", skewed)
+    for path in (f, g):
+        code, out, err = run_cli(capsys, "analyze", str(path), "--json")
+        assert code == 4 and out == "" and "scaled form is not symmetric" in err, err
 
 
 def test_verify_series_rejects_s_max_0(capsys):

@@ -19,6 +19,7 @@ from ellskel.exact import (
     zeros,
 )
 from ellskel.homology import relation_matrix
+from ellskel.lattices import symmetric_bareiss
 
 from test_homology import _route_cases, rank, smith_normal_form, unimodular_inverse
 
@@ -666,11 +667,25 @@ def test_hnf_differential():
 
 
 def test_det_differential():
+    """`exact.bareiss` on the square part of each case, and on its
+    symmetric A + A^t and A + A^t with a zero diagonal (every zero-pivot
+    rule), the symmetric pass of `IntLattice` too, against sympy."""
     sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    seen = Counter()
     for M in differential_cases():
         k = min(exact.shape(M))
         A = [row[:k] for row in M[:k]]
-        S = sympy.Matrix(k, k, [x for row in A for x in row])
-        minors = [S[:i, :i].det() for i in range(1, k + 1)]
-        assert det(A) == S.det(), A
-        assert exact.bareiss(A) == (S.det(), all(x > 0 for x in minors)), A
+        sym = [[x + y for x, y in zip(r, c)] for r, c in zip(A, zip(*A))]
+        hollow = [[x if i != j else 0 for j, x in enumerate(r)] for i, r in enumerate(sym)]
+        for B in (A, sym, hollow):
+            S = DomainMatrix.from_Matrix(sympy.Matrix(B))
+            minors = [S[:i, :i].det() for i in range(1, k + 1)]
+            expected = (minors[-1], all(x > 0 for x in minors))
+            assert det(B) == expected[0], B
+            assert exact.bareiss(B) == expected, B
+            if B is not A:
+                assert symmetric_bareiss(B) == expected, B
+                seen[B is hollow, expected[0] != 0] += 1
+    assert min(seen.values()) >= 20, seen
