@@ -4,6 +4,7 @@ Subcommands:
 
     ellskel analyze FILE [--json] [--orientation-sweep]
     ellskel verify-series {th1.1,th1.2,th1.3,th1.4,all} [--s-max N] [--json]
+                                  (1 <= N <= MAX_TREE_SIZE // 2 = 8)
     ellskel enumerate K [--dedup] [--json]    (1 <= K <= MAX_TREE_SIZE = 16)
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable file or parse
@@ -35,12 +36,8 @@ from .skeletons import (
 )
 
 
-def _gram_list(L):
-    return [list(r) for r in L.gram]
-
-
 def _transcendental(T):
-    return {"rank": T.rank, "gram": _gram_list(T), "det": T.det()}
+    return {"rank": T.rank, "gram": T.gram_rows(), "det": T.det()}
 
 
 def _mw_dict(mw):
@@ -124,7 +121,7 @@ def orientation_sweep(sk):
                 "heads": list(o.heads),
                 "fibers": sorted(ft.name for ft in types.values()),
                 "t": t,
-                "transcendental_gram": _gram_list(T),
+                "transcendental_gram": T.gram_rows(),
                 "mordell_weil": _mw_dict(mw),
             }
         )
@@ -276,25 +273,25 @@ def cmd_enumerate(args, out):
     return 0
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 # `enumerate` lists all Catalan(K - 1) trees: 9.7 million at K = 16
 MAX_TREE_SIZE = 16
 
 
-def _tree_size(text):
-    value = _positive_int(text)
-    if value > MAX_TREE_SIZE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_TREE_SIZE}, got {value}")
-    return value
+def _int_up_to(ceiling):
+    """The argparse type of an integer from 1 to `ceiling`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling}, got {value}")
+        return value
+
+    return parse
 
 
 @cache
@@ -313,12 +310,15 @@ def build_parser():
 
     pv = sub.add_parser("verify-series", help="check the closed-form lattice series")
     pv.add_argument("series", choices=list(SERIES) + ["all"])
-    pv.add_argument("--s-max", type=_positive_int, default=2)
+    # member s of a series has trees of size `series_k(series, s)` <= 2s
+    pv.add_argument("--s-max", type=_int_up_to(MAX_TREE_SIZE // 2), default=2,
+                    help=f"largest series member, 1 to {MAX_TREE_SIZE // 2}")
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify_series)
 
     pe = sub.add_parser("enumerate", help="all loop-decorated trees of size k")
-    pe.add_argument("k", type=_tree_size, help=f"number of loops, 1 to {MAX_TREE_SIZE}")
+    pe.add_argument("k", type=_int_up_to(MAX_TREE_SIZE),
+                    help=f"number of loops, 1 to {MAX_TREE_SIZE}")
     pe.add_argument("--dedup", action="store_true")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_enumerate)

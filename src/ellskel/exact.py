@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 
@@ -54,12 +54,7 @@ class AbelianInvariants:
     @property
     def order(self):
         """Group order, or None when the free rank is positive."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.torsion)
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -449,39 +444,6 @@ def kernel_coordinates(K, vectors):
             raise ValueError("vector is not in the span of the columns")
         out.append(x)
     return out
-
-
-def bareiss(M):
-    """(det M, whether every leading principal minor of M is positive), by
-    one fraction-free elimination.  Without row swaps the pivot of step k
-    is the leading principal minor of order k + 1, so a swap or a pivot
-    <= 0 decides the second (Sylvester's criterion for symmetric M)."""
-    m, n = shape(M)
-    if m != n:
-        raise ValueError("matrix is not square")
-    A = mat_copy(M)
-    sign = prev = 1
-    minors_positive = True
-    for k in range(n):
-        minors_positive = minors_positive and A[k][k] > 0
-        if A[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if piv is None:
-                return 0, False
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        p = A[k][k]
-        for i in range(k + 1, n):
-            a = A[i][k]
-            A[i][k + 1:] = [(x * p - a * y) // prev
-                            for x, y in zip(A[i][k + 1:], A[k][k + 1:])]
-        prev = p
-    return sign * prev, minors_positive
-
-
-def det(M):
-    """Exact determinant (Bareiss fraction-free elimination)."""
-    return bareiss(M)[0]
 
 
 def column_lattice_hnf(M):

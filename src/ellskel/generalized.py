@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .exact import identity, mat_mul
 from .skeletons import (
     NEG_X,
     Skeleton,
@@ -44,13 +43,11 @@ def inv2(m):
     return ((d, -b), (-c, a))
 
 
-XYX = tuple(tuple(r) for r in gl2_mul(X, Y, X))
-
 E_LABELS = {
     "A0**": (X,),
     "E6": (NEG_X,),
-    "A1*": (tuple(tuple(-x for x in r) for r in XYX),),
-    "E7": (XYX,),
+    "A1*": (gl2_mul(NEG_X, Y, X),),
+    "E7": (gl2_mul(X, Y, X),),
     "A2*": None,  # two labels, variant required
     "E8": None,
 }
@@ -87,9 +84,7 @@ class LabelledSkeleton(Skeleton):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "heads", tuple(self.heads))
-        object.__setattr__(
-            self, "labels", tuple(tuple(tuple(r) for r in L) for L in self.labels)
-        )
+        object.__setattr__(self, "labels", tuple(map(gl2_mul, self.labels)))
 
     def _check_valency(self, c):
         if len(c) % 3 != 0:
@@ -219,7 +214,7 @@ def parabolic_conjugator(m, sign):
     if r0 < 0:
         x, y = -x, -y
     P = ((a, -y), (c, x))
-    if gl2_mul(inv2(P), m, P) != [(sign, sign * j), (0, sign)]:
+    if gl2_mul(inv2(P), m, P) != ((sign, sign * j), (0, sign)):
         raise AssertionError(f"{m} is not conjugate to {sign}*[[1, {j}], [0, 1]]")
     return P, j
 
@@ -237,12 +232,11 @@ def classify_monodromy(m):
     if abs(trace) == 2:
         sign = trace // 2
         return ("unipotent", sign, parabolic_conjugator(m, sign)[1])
-    p = [list(r) for r in m]
-    acc = [list(r) for r in m]
+    acc = gl2_mul(m)
     for order in range(1, 13):
-        if acc == identity(2):
+        if acc == ((1, 0), (0, 1)):
             return ("torsion", order)
-        acc = mat_mul(acc, p)
+        acc = gl2_mul(acc, m)
     raise SkeletonError(f"monodromy {m} is neither unipotent nor small torsion")
 
 

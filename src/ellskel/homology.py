@@ -56,6 +56,7 @@ from .generalized import kernel_cycles
 from .lattices import IntLattice, quotient_by, radical_and_quotient
 from .skeletons import (
     X,
+    Y,
     genus,
     gl2_apply,
     gl2_mul,
@@ -63,11 +64,10 @@ from .skeletons import (
 )
 
 # X^d and the polarized form's block -S X^d for d mod 3, where S is the
-# symplectic Gram (a.b = 1)
-_S = ((0, 1), (-1, 0))
+# symplectic Gram (a.b = 1), so -S = Y
 _I = ((1, 0), (0, 1))
-_XPOW = [tuple(gl2_mul(*[X] * d)) for d in range(3)]
-_NEG_SXD = [[tuple(-x for x in r) for r in gl2_mul(_S, x)] for x in _XPOW]
+_XPOW = [gl2_mul(*[X] * d) for d in range(3)]
+_NEG_SXD = [gl2_mul(Y, x) for x in _XPOW]
 
 
 def _add_block(rows, r, c, blk):
@@ -80,10 +80,8 @@ def _add_block(rows, r, c, blk):
                     del row[j]
 
 
-@lru_cache(maxsize=1024)
-def _block(A, B, C=_I):
-    """The 2x2 product A B C."""
-    return tuple(gl2_mul(A, B, C))
+# the engine's 2x2 products repeat a few matrices
+_block = lru_cache(maxsize=1024)(gl2_mul)
 
 
 def _end_maps(lsk):

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import exact
 from .exact import (
-    det,
     identity,
     integer_kernel,
     mat_copy,
@@ -230,9 +229,11 @@ def congruence_sublattice(L, f, m, d):
         # solutions of f.x - m*y = 0, projected to the x coordinates
         K = integer_kernel([list(f) + [-m]])
         B = exact.column_lattice_hnf(K[:n])
+    # B is square and lower triangular, so |det B| is its diagonal product
     idx = m // gcd(m, *f)
-    if abs(det(B)) != idx:
-        raise AssertionError(f"congruence sublattice index {abs(det(B))} != {idx}")
+    got = abs(prod(B[i][i] for i in range(n)))
+    if got != idx:
+        raise AssertionError(f"congruence sublattice index {got} != {idx}")
     G = []
     for row in mat_mul(transpose(B), mat_mul(L.gram_rows(), B)):
         if any(x % d for x in row):
@@ -403,7 +404,9 @@ def is_isometric(L1, L2, witness=False):
     against one L2 reduces it and enumerates its short vectors once.
 
     With witness=True returns (flag, U) where G1' = U^t G2' U on the
-    nondegenerate quotients; otherwise just the flag.
+    nondegenerate quotients; otherwise just the flag.  A found U is checked
+    either way: U^t G2' U = G1', and det(U^t U) = 1 by `symmetric_bareiss`,
+    which says det U = +-1.
     """
     A, B = _Quotient(L1), _target(L2)
     Q1, Q2 = A.quotient, B.quotient
@@ -441,6 +444,7 @@ def is_isometric(L1, L2, witness=False):
     U = mat_mul(B.transform, mat_mul(W, A.inverse))
     if mat_mul(transpose(U), mat_mul(Q2.gram_rows(), U)) != Q1.gram_rows():
         raise AssertionError("isometry witness fails U^t G2 U = G1")
-    if det(U) not in (1, -1):
-        raise AssertionError(f"isometry witness has det {det(U)}, not +-1")
+    d2 = symmetric_bareiss(mat_mul(transpose(U), U))[0]
+    if d2 != 1:
+        raise AssertionError(f"isometry witness has det^2 {d2}, not 1")
     return result(True, U)

@@ -12,7 +12,8 @@ around a region is one walk, `region_steps`, on a labelled skeleton
 step is lifted by the skeleton's per-end table `lifts`, each nx⁻¹ step
 by -X.  The region monodromy, the fundamental cycles and the fiber types
 all read that walk.  A skeleton keeps its `regions`, and a labelled one
-its `monodromies`, so each region's monodromy is walked once.
+its `monodromies`, so each region's monodromy is walked once.  A 2x2
+matrix is a tuple of row tuples, which `gl2_mul` returns.
 """
 
 from __future__ import annotations
@@ -21,18 +22,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .exact import identity, mat_mul
-
 X = ((-1, 1), (-1, 0))
 Y = ((0, -1), (1, 0))
 NEG_X = ((1, -1), (1, 0))  # the lift of an nx⁻¹ step
 
 
 def gl2_mul(*ms):
-    out = identity(2)
-    for m in ms:
-        out = mat_mul(out, m)
-    return [tuple(r) for r in out]
+    """The product m_1 m_2 ... of 2x2 matrices as a tuple of row tuples
+    (for one matrix, its tuple form)."""
+    a, b, c, d = 1, 0, 0, 1
+    for (p, q), (r, t) in ms:
+        a, b, c, d = a * p + b * r, a * q + b * t, c * p + d * r, c * q + d * t
+    return ((a, b), (c, d))
 
 
 def gl2_apply(m, v):
@@ -211,10 +212,7 @@ def region_steps(lsk, cycle):
 
 def region_monodromy(lsk, cycle):
     """Product m_2n ... m_1 of the step lifts around the region."""
-    a, b, c, d = 1, 0, 0, 1
-    for _, ((p, q), (r, t)) in region_steps(lsk, cycle):
-        a, b, c, d = p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d
-    return [(a, b), (c, d)]
+    return gl2_mul(*[m for _, m in region_steps(lsk, cycle)][::-1])
 
 
 def fundamental_cycle(lsk, cycle, h):
@@ -273,9 +271,9 @@ def fiber_types(lsk):
     t = 0
     for reg, m in lsk.monodromies.items():
         n = reg.size
-        if m == [(1, n), (0, 1)]:
+        if m == ((1, n), (0, 1)):
             out[reg] = FiberType("A", max(n - 1, 0), n)
-        elif m == [(-1, -n), (0, -1)]:
+        elif m == ((-1, -n), (0, -1)):
             out[reg] = FiberType("D", n + 4, n)
             t += 1
         else:

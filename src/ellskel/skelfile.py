@@ -15,7 +15,8 @@ edge, in the order of edges sorted by their smaller end.  Each optional
 `label:` line attaches a 2x2 integer matrix (row-major) to one edge by
 index, and an edge takes at most one; any `label:` line turns the
 document into a labelled skeleton, with unlabelled edges defaulting to
-Y.  Lines starting with `#` and blank lines are ignored.
+Y.  Each of `ends:`, `nx:`, `op:` and `heads:` appears at most once.
+Lines starting with `#` and blank lines are ignored.
 
 If `heads:` is absent, the loop-decorated-tree convention (every loop
 head placed so the loop region is stable) is applied when the skeleton
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 
 from .generalized import LabelledSkeleton
 from .skeletons import Orientation, Skeleton, SkeletonError, Y, _orbits, genus
-
-_Y = tuple(tuple(r) for r in Y)
 
 
 class ParseError(ValueError):
@@ -76,6 +75,7 @@ def parse_document(text):
     n = None
     op = nx = heads = None
     labels = []
+    seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,6 +85,9 @@ def parse_document(text):
             raise ParseError(f"expected 'key: value', got {line!r}", line_no)
         key = key.strip()
         rest = rest.strip()
+        if key != "label" and key in seen:
+            raise ParseError(f"second '{key}:' line", line_no)
+        seen.add(key)
         if key == "ends":
             try:
                 n = int(rest)
@@ -149,7 +152,7 @@ def resolve(doc):
         edges = sk.edges
         if doc.heads is None:
             raise SkeletonError("labelled skeletons require an explicit heads line")
-        labels = [_Y] * len(edges)
+        labels = [Y] * len(edges)
         for idx, mat in doc.labels:
             if not 0 <= idx < len(edges):
                 raise SkeletonError(f"label for nonexistent edge {idx}")
@@ -195,7 +198,7 @@ def format_skeleton(sk, orientation=None):
 def format_labelled(lsk):
     lines = [format_skeleton(lsk, Orientation(lsk.heads))]
     for i, L in enumerate(lsk.labels):
-        if L != _Y:
+        if L != Y:
             (a, b), (c, d) = L
             lines.append(f"label: {i} {a} {b} {c} {d}\n")
     return "".join(lines)

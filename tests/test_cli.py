@@ -101,6 +101,11 @@ def test_missing_heads_rejected_otherwise():
         ("bogus line\n", "key: value"),
         ("ends: 6\nnx: (0 1 2)(3 4 5)\nlabel: 0 1 0 0\n", "4 matrix entries"),
         ("ends: 6\n", "must define"),
+        ("ends: 6\nends: 6\n", "second 'ends:'"),
+        ("ends: 6\nnx: (0 1 2)(3 4 5)\nends: 12\n", "second 'ends:'"),
+        ("ends: 6\nnx: (0 1 2)(3 4 5)\nnx: (0 2 1)(3 5 4)\n", "second 'nx:'"),
+        ("ends: 6\nop: (0 3)(1 2)(4 5)\nop: (0 3)(1 2)(4 5)\n", "second 'op:'"),
+        ("ends: 6\nheads: 0 2 5\nheads: 3 1 4\n", "second 'heads:'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -116,6 +121,8 @@ def test_parse_error_carries_line_number():
         assert "line 2" in str(e)
     else:
         raise AssertionError("no error raised")
+    with pytest.raises(skelfile.ParseError, match="line 4: second 'heads:'"):
+        skelfile.parse("ends: 6\nheads: 0 2 5\n# a comment\nheads: 3 1 4\n")
 
 
 def test_huge_end_count_is_rejected_without_allocation(tmp_path, capsys):
@@ -443,6 +450,36 @@ def test_asymmetric_form_exit_4(tmp_path, capsys, monkeypatch):
     for path in (f, g):
         code, out, err = run_cli(capsys, "analyze", str(path), "--json")
         assert code == 4 and out == "" and "scaled form is not symmetric" in err, err
+
+
+def test_verify_series_rejects_s_max_above_ceiling(capsys, monkeypatch):
+    """--s-max past MAX_TREE_SIZE // 2 is a usage error; only the parser
+    runs."""
+
+    def no_run(series, s):
+        raise AssertionError(f"verify_series ran for s = {s}")
+
+    monkeypatch.setattr(cli, "verify_series", no_run)
+    ceiling = MAX_TREE_SIZE // 2
+    assert ceiling == 8
+    args = cli.build_parser().parse_args(["verify-series", "all", "--s-max", "8"])
+    assert args.s_max == ceiling
+    for s in (ceiling + 1, 1000):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-series", "all", "--s-max", str(s)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"must be at most {ceiling}" in captured.err and captured.out == ""
+
+
+def test_congruence_index_failure_exit_4(capsys, monkeypatch):
+    """A congruence basis B of the wrong index ends `verify-series th1.4`
+    with exit code 4."""
+    hnf = exact.column_lattice_hnf
+    monkeypatch.setattr(exact, "column_lattice_hnf",
+                        lambda M: [r[:-1] + [2 * r[-1]] for r in hnf(M)])
+    code, out, err = run_cli(capsys, "verify-series", "th1.4", "--s-max", "2")
+    assert code == 4 and "congruence sublattice index 8 != 4" in err, err
 
 
 def test_verify_series_rejects_s_max_0(capsys):

@@ -9,7 +9,6 @@ from ellskel import exact
 from ellskel.exact import (
     AbelianInvariants,
     cokernel_invariants,
-    det,
     hermite_form,
     identity,
     integer_kernel,
@@ -22,6 +21,40 @@ from ellskel.homology import relation_matrix
 from ellskel.lattices import symmetric_bareiss
 
 from test_homology import _route_cases, rank, smith_normal_form, unimodular_inverse
+
+
+def bareiss(M):
+    """Oracle: (det M, whether every leading principal minor of M is
+    positive), by one fraction-free elimination of the whole matrix
+    (Bareiss, Math. Comp. 22, 1968).  Without row swaps the pivot of step k
+    is the leading principal minor of order k + 1, so a swap or a pivot
+    <= 0 decides the second (Sylvester's criterion for symmetric M)."""
+    m, n = exact.shape(M)
+    if m != n:
+        raise ValueError("matrix is not square")
+    A = [list(r) for r in M]
+    sign = prev = 1
+    minors_positive = True
+    for k in range(n):
+        minors_positive = minors_positive and A[k][k] > 0
+        if A[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if piv is None:
+                return 0, False
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p = A[k][k]
+        for i in range(k + 1, n):
+            a = A[i][k]
+            A[i][k + 1:] = [(x * p - a * y) // prev
+                            for x, y in zip(A[i][k + 1:], A[k][k + 1:])]
+        prev = p
+    return sign * prev, minors_positive
+
+
+def det(M):
+    """Oracle: the exact determinant, from `bareiss`."""
+    return bareiss(M)[0]
 
 
 def hermite_normal_form(M):
@@ -667,9 +700,11 @@ def test_hnf_differential():
 
 
 def test_det_differential():
-    """`exact.bareiss` on the square part of each case, and on its
-    symmetric A + A^t and A + A^t with a zero diagonal (every zero-pivot
-    rule), the symmetric pass of `IntLattice` too, against sympy."""
+    """The `bareiss` oracle on the square part A of each case, and on its
+    symmetric A + A^t, A + A^t with a zero diagonal (every zero-pivot rule)
+    and A^t A, the symmetric pass of `IntLattice` too, against sympy.
+    det(A^t A) = det(A)^2 is the isometry witness check of `is_isometric`:
+    it is 1 exactly when det A = +-1."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
@@ -679,13 +714,17 @@ def test_det_differential():
         A = [row[:k] for row in M[:k]]
         sym = [[x + y for x, y in zip(r, c)] for r, c in zip(A, zip(*A))]
         hollow = [[x if i != j else 0 for j, x in enumerate(r)] for i, r in enumerate(sym)]
-        for B in (A, sym, hollow):
+        gram = mat_mul(transpose(A), A)
+        for B in (A, sym, hollow, gram):
             S = DomainMatrix.from_Matrix(sympy.Matrix(B))
             minors = [S[:i, :i].det() for i in range(1, k + 1)]
             expected = (minors[-1], all(x > 0 for x in minors))
             assert det(B) == expected[0], B
-            assert exact.bareiss(B) == expected, B
+            assert bareiss(B) == expected, B
             if B is not A:
                 assert symmetric_bareiss(B) == expected, B
                 seen[B is hollow, expected[0] != 0] += 1
+        d, g = det(A), symmetric_bareiss(gram)[0]
+        assert g == d * d and (g == 1) == (d in (1, -1)), A
+        seen["unimodular"] += d in (1, -1)
     assert min(seen.values()) >= 20, seen

@@ -17,7 +17,7 @@ from ellskel.lattices import (
     short_vectors,
 )
 
-from test_exact import dense_integer_kernel
+from test_exact import bareiss, dense_integer_kernel, det
 from test_homology import discriminant, rank
 
 
@@ -214,6 +214,20 @@ def test_congruence_index():
         assert S.det() == expected * expected
 
 
+def test_witness_check_raises(monkeypatch):
+    """The isometry witness check, det(U^t U) = 1, raises AssertionError
+    when it fails."""
+    L1, L2 = IntLattice([[2, 1], [1, 2]]), IntLattice([[2, -1], [-1, 2]])
+    for L in (L1, L2):  # cached, so the only pass left is the one on U^t U
+        assert (L.det(), L.is_positive_definite()) == (3, True)
+    lattices._target.cache_clear()
+    monkeypatch.setattr(lattices, "symmetric_bareiss", lambda G: (4, True))
+    with pytest.raises(AssertionError, match="isometry witness has det"):
+        is_isometric(L1, L2)
+    monkeypatch.undo()
+    assert is_isometric(L1, L2)
+
+
 def test_short_vectors():
     # A2 has 6 roots of norm 2
     G = standard_lattice("A", 2).gram_rows()
@@ -288,9 +302,9 @@ def test_short_vectors_differential():
         bound = rng.randint(1, 2 * max(G[i][i] for i in range(n)))
         got = short_vectors(G, bound)
         assert got == fraction_short_vectors(G, bound)
-        minors = [exact.det([r[:i] + r[i + 1:] for r in G[:i] + G[i + 1:]])
+        minors = [det([r[:i] + r[i + 1:] for r in G[:i] + G[i + 1:]])
                   for i in range(n)]  # (G^-1)_ii = minors[i] / det G
-        radii = [isqrt(bound * m // exact.det(G)) for m in minors]
+        radii = [isqrt(bound * m // det(G)) for m in minors]
         box = [list(x) for x in product(*(range(-r, r + 1) for r in radii))
                if any(x) and sum(map(mul, x, exact.mat_vec(G, x))) <= bound]
         assert sorted(got) == sorted(box)
@@ -345,7 +359,7 @@ def test_positive_definite_matches_leading_minors():
 
     def by_minors(L):
         G = L.gram_rows()
-        return all(exact.det([row[:k] for row in G[:k]]) > 0
+        return all(det([row[:k] for row in G[:k]]) > 0
                    for k in range(1, L.rank + 1))
 
     rng = random.Random(58)
@@ -409,7 +423,7 @@ def test_lll_reduce_property():
             G = congruent(G, random_unimodular(rng, n, steps=12, q=3))
         Gr, T, Tinv = lattices.lll_reduce(G)
         assert congruent(G, T) == Gr
-        assert exact.det(T) in (1, -1)
+        assert det(T) in (1, -1)
         assert mat_mul(T, Tinv) == identity(n) == mat_mul(Tinv, T)
         swaps += T != identity(n)
         B, mu = [], [[Fraction(0)] * n for _ in range(n)]
@@ -444,10 +458,11 @@ def test_cached_invariants_stay_out_of_equality():
     assert L == fresh and hash(L) == hash(fresh) and repr(L) == repr(fresh)
     assert fresh != IntLattice([[2, 1, 0], [1, 3, 1], [0, 1, 5]])
     # the determinant and the definiteness come from one pass
-    assert exact.bareiss(G) == (18, True)
-    assert exact.bareiss([[0, 1], [1, 0]]) == (-1, False)
-    assert exact.bareiss([[1, 2], [2, 1]]) == (-3, False)
-    assert exact.bareiss([]) == (1, True)
+    for one_pass in (bareiss, lattices.symmetric_bareiss):
+        assert one_pass(G) == (18, True)
+        assert one_pass([[0, 1], [1, 0]]) == (-1, False)
+        assert one_pass([[1, 2], [2, 1]]) == (-3, False)
+        assert one_pass([]) == (1, True)
     # a second query against an equal target hits _target's cache
     lattices._target.cache_clear()
     assert is_isometric(IntLattice(G), fresh)
@@ -500,7 +515,7 @@ def test_isometry_target_reuse(monkeypatch):
             assert ok == expected
             if ok:
                 assert congruent(L2.gram_rows(), U) == G
-                assert exact.det(U) in (1, -1)
+                assert det(U) in (1, -1)
             assert lattices._target(L2).bound == max(bounds)
         assert bounds == sorted(set(bounds))
         seen = len(bounds)

@@ -100,10 +100,10 @@ NEG_I = ((-1, 0), (0, -1))
 
 
 def test_generator_identities():
-    assert gl2_mul(X, X, X) == [(1, 0), (0, 1)]
-    assert gl2_mul(Y, Y) == list(NEG_I)
-    assert gl2_mul(X, Y) == [(1, 1), (0, 1)]
-    assert gl2_mul(NEG_I, X) == list(NEG_X)
+    assert gl2_mul(X, X, X) == ((1, 0), (0, 1))
+    assert gl2_mul(Y, Y) == NEG_I
+    assert gl2_mul(X, Y) == ((1, 1), (0, 1))
+    assert gl2_mul(NEG_I, X) == NEG_X
     # X cycles (a, b) -> (c, a) -> (b, c) with c = -a - b
     assert gl2_apply(X, (1, 0)) == (-1, -1)
     assert gl2_apply(X, (0, 1)) == (1, 0)
@@ -161,7 +161,7 @@ def test_monodromy_empty_and_region():
         for reg in lsk.regions:
             m = region_monodromy(lsk, reg.cycle)
             n = reg.size
-            assert m in ([(1, n), (0, 1)], [(-1, -n), (0, -1)])
+            assert m in (((1, n), (0, 1)), ((-1, -n), (0, -1)))
 
 
 def oracle_walk(lsk, cycle):
@@ -223,7 +223,7 @@ def test_monodromy_matches_step_products():
             want = identity(2)
             for _, lift in steps:
                 want = mat_mul(lift, want)
-            assert region_monodromy(lsk, reg.cycle) == [tuple(r) for r in want]
+            assert region_monodromy(lsk, reg.cycle) == tuple(map(tuple, want))
         labels.update(lsk.labels)
     assert len(labels) == 5  # Y and the four labels of the spliced fibers
 
@@ -232,7 +232,7 @@ def test_monogon_orientation_sign():
     # loop edge (1,2) of the k=1 pseudo-tree: head at 2 makes the monogon +
     lsk = from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation())
     reg = next(r for r in lsk.regions if r.cycle == (1,))
-    assert region_monodromy(lsk, reg.cycle) == [(1, 1), (0, 1)]
+    assert region_monodromy(lsk, reg.cycle) == ((1, 1), (0, 1))
 
 
 def test_invariant_transport_around_stable_region():
