@@ -254,7 +254,7 @@ def smith_form(M):
 def sparse(M):
     """The sparse matrix (rows, n) of a dense one."""
     _, n = shape(M)
-    return [{j: r[j] for j in compress(range(n), r)} for r in M], n
+    return [dict(compress(enumerate(r), r)) for r in M], n
 
 
 def sparse_transpose(rows):

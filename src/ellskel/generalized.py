@@ -27,6 +27,7 @@ from .skeletons import (
     SkeletonError,
     X,
     Y,
+    check_heads,
     fundamental_cycle,
     gl2_apply,
     gl2_mul,
@@ -94,14 +95,11 @@ class LabelledSkeleton(Skeleton):
 
     def validate(self):
         super().validate()
-        edges = self.edges
-        if len(self.heads) != len(edges) or len(self.labels) != len(edges):
-            raise SkeletonError("heads/labels not aligned with edges")
-        for (a, b), h, L in zip(edges, self.heads, self.labels):
-            if h not in (a, b):
-                raise SkeletonError(f"head {h} not an end of edge {(a, b)}")
-            la, lb = L[0]
-            lc, ld = L[1]
+        check_heads(self, self.heads)
+        if len(self.labels) != len(self.edges):
+            raise SkeletonError("labels not aligned with edges")
+        for L in self.labels:
+            (la, lb), (lc, ld) = L
             if la * ld - lb * lc != 1:
                 raise SkeletonError(f"label {L} has determinant != 1")
 

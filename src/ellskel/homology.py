@@ -31,7 +31,7 @@ cohomology reads the same lifts through the region walk
 `skeletons.region_steps`.
 
 Forms are kept as integer matrices scaled by 2 lcm(valencies) (6 on
-trivalent input); restriction to the kernel must land in integers.
+trivalent input); `lattices.restrict` checks their restriction is integral.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .exact import (
     sparse_transpose,
 )
 from .generalized import kernel_cycles
-from .lattices import IntLattice, quotient_by, radical_and_quotient
+from .lattices import IntLattice, quotient_by, radical_and_quotient, restrict
 from .skeletons import (
     X,
     Y,
@@ -137,35 +137,6 @@ def scaled_form(lsk):
     return F, 2 * len(lsk.edges)
 
 
-def _restrict_scaled_form(K, F, scale):
-    """K^t F K / scale for a basis K (columns) and the sparse rows F, which
-    must be symmetric: the entries (b, a) with a <= b are summed over the
-    nonzeros and mirrored."""
-    if any(F[j].get(i) != f for i, row in enumerate(F) for j, f in row.items()):
-        raise AssertionError("scaled form is not symmetric")
-    d = len(K[0]) if K else 0
-    Ks = [[(b, r[b]) for b in compress(range(d), r)] for r in K]
-    G = [[0] * d for _ in range(d)]
-    for ki, row in zip(Ks, F):
-        if not ki:
-            continue
-        fk = [0] * d  # row i of F*K
-        for j, f in row.items():
-            for b, y in Ks[j]:
-                fk[b] += f * y
-        a0 = ki[0][0]
-        for b in compress(range(a0, d), fk[a0:]):
-            g, y = G[b], fk[b]
-            for a, x in ki:
-                if a > b:
-                    break
-                g[a] += x * y
-    if any(x % scale for row in G for x in row):
-        raise AssertionError("restricted form is not integral")
-    lower = [[x // scale for x in row] for row in G]
-    return [r[:a] + list(c[a:]) for a, (r, c) in enumerate(zip(lower, zip(*lower)))]
-
-
 class HGamma(NamedTuple):
     """What one analysis builds once and every invariant reads."""
 
@@ -180,7 +151,7 @@ def h_gamma(lsk):
     cokernel torsion; the kernel and cokernel come from one elimination."""
     D, n = relation_matrix(lsk)
     K, coker = kernel_and_cokernel(D, n)
-    gram = _restrict_scaled_form(K, scaled_form(lsk)[0], form_scale(lsk))
+    gram = restrict(scaled_form(lsk)[0], K, form_scale(lsk))
     return HGamma(D, K, gram, coker.torsion)
 
 

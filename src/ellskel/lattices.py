@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -19,6 +20,7 @@ from .exact import (
     mat_copy,
     mat_mul,
     smith_form,
+    sparse,
     transpose,
     zeros,
 )
@@ -121,6 +123,37 @@ def symmetric_bareiss(G):
     return prev, minors_positive
 
 
+def restrict(F, B, scale=1):
+    """B^t F B / scale for the sparse symmetric rows F and the basis given
+    by the columns of B (a list of rows): the entries (b, a) with a <= b
+    are summed over the nonzeros and mirrored.  An asymmetric F, or an
+    entry that scale does not divide, raises ValueError."""
+    if any(F[j].get(i) != f for i, row in enumerate(F) for j, f in row.items()):
+        raise ValueError("form to restrict is not symmetric")
+    d = len(B[0]) if B else 0
+    Bs = [list(compress(enumerate(r), r)) for r in B]
+    G = [[0] * d for _ in range(d)]
+    for bi, row in zip(Bs, F, strict=True):
+        if not bi:
+            continue
+        fb = [0] * d  # row i of F*B
+        for j, f in row.items():
+            for b, y in Bs[j]:
+                fb[b] += f * y
+        a0 = bi[0][0]
+        for b in compress(range(a0, d), fb[a0:]):
+            g, y = G[b], fb[b]
+            for a, x in bi:
+                if a > b:
+                    break
+                g[a] += x * y
+    if scale != 1:
+        if any(x % scale for row in G for x in row):
+            raise ValueError("restricted form is not integral")
+        G = [[x // scale for x in row] for row in G]
+    return [r[:a] + list(c[a:]) for a, (r, c) in enumerate(zip(G, zip(*G)))]
+
+
 def standard_lattice(name, n):
     """Gram matrix of A_n, D_n, V_n or W_n (definite sign convention)."""
     if name == "A":
@@ -188,10 +221,8 @@ def quotient_by(G, K):
     d, Uinv = smith_form(K)
     if d != [1] * r:
         raise AssertionError("radical basis not saturated")
-    # comp^t G comp over the nonzeros of comp
-    comp = [list(c.items()) for c in Uinv[r:]]
-    Q = IntLattice([[sum(x * y * G[i][j] for i, x in a for j, y in b) for b in comp]
-                    for a in comp])
+    B = [[c.get(i, 0) for c in Uinv[r:]] for i in range(len(G))]
+    Q = IntLattice(restrict(sparse(G)[0], B))
     if Q.det() == 0:
         raise AssertionError("quotient by the radical is degenerate")
     return Q
@@ -203,9 +234,7 @@ def orthogonal_complement(L, v):
         raise ValueError("v must be nonzero")
     G = L.gram_rows()
     w = exact.mat_vec(G, list(v))
-    K = integer_kernel([w])
-    Gc = mat_mul(transpose(K), mat_mul(G, K))
-    return IntLattice(Gc)
+    return IntLattice(restrict(sparse(G)[0], integer_kernel([w])))
 
 
 def congruence_sublattice(L, f, m, d):
@@ -234,12 +263,7 @@ def congruence_sublattice(L, f, m, d):
     got = abs(prod(B[i][i] for i in range(n)))
     if got != idx:
         raise AssertionError(f"congruence sublattice index {got} != {idx}")
-    G = []
-    for row in mat_mul(transpose(B), mat_mul(L.gram_rows(), B)):
-        if any(x % d for x in row):
-            raise ValueError("restricted form is not integral")
-        G.append([x // d for x in row])
-    return IntLattice(G)
+    return IntLattice(restrict(sparse(L.gram)[0], B, d))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +466,9 @@ def is_isometric(L1, L2, witness=False):
     # G1 = W^t G2 W on the reduced bases, with Gi = Ti^t Qi Ti
     W = transpose(cols)
     U = mat_mul(B.transform, mat_mul(W, A.inverse))
-    if mat_mul(transpose(U), mat_mul(Q2.gram_rows(), U)) != Q1.gram_rows():
+    if restrict(sparse(Q2.gram)[0], U) != Q1.gram_rows():
         raise AssertionError("isometry witness fails U^t G2 U = G1")
-    d2 = symmetric_bareiss(mat_mul(transpose(U), U))[0]
+    d2 = symmetric_bareiss(restrict([{i: 1} for i in range(n)], U))[0]
     if d2 != 1:
         raise AssertionError(f"isometry witness has det^2 {d2}, not 1")
     return result(True, U)

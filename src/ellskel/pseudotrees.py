@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from math import isqrt
 
 from . import homology
-from .exact import cokernel_invariants, mat_mul, transpose, zeros
+from .exact import cokernel_invariants, mat_mul, sparse, transpose, zeros
 from .generalized import from_skeleton
 from .lattices import (
     IntLattice,
     congruence_sublattice,
     is_isometric,
     orthogonal_complement,
+    restrict,
     standard_lattice,
 )
 from .skeletons import Orientation, Skeleton, fiber_types, genus
@@ -201,8 +202,7 @@ def contract(tree):
         raise ContractionError(f"terminal weight {weights} != 0")
     U = transpose(split + vecs)
     W = standard_lattice("W", k)
-    got = mat_mul(transpose(U), mat_mul(Q.gram_rows(), U))
-    if got != W.gram_rows():
+    if restrict(sparse(Q.gram)[0], U) != W.gram_rows():
         raise AssertionError("contraction did not reach W_k")
     chi = m
     psi = list(m)

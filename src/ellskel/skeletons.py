@@ -157,6 +157,17 @@ class Orientation:
         object.__setattr__(self, "heads", tuple(self.heads))
 
 
+def check_heads(sk, heads):
+    """Raises SkeletonError unless heads holds one end of each edge of sk,
+    in the order of `edges`."""
+    edges = sk.edges
+    if len(heads) != len(edges):
+        raise SkeletonError(f"{len(heads)} heads for {len(edges)} edges")
+    for (a, b), h in zip(edges, heads):
+        if h not in (a, b):
+            raise SkeletonError(f"head {h} is not an end of edge {(a, b)}")
+
+
 def orientation_classes(sk):
     """The smallest orientation of each class modulo vertex flips, in order.
 

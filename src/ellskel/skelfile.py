@@ -30,7 +30,8 @@ import re
 from dataclasses import dataclass
 
 from .generalized import LabelledSkeleton
-from .skeletons import Orientation, Skeleton, SkeletonError, Y, _orbits, genus
+from .skeletons import (Orientation, Skeleton, SkeletonError, Y, _orbits,
+                        check_heads, genus)
 
 
 class ParseError(ValueError):
@@ -162,14 +163,7 @@ def resolve(doc):
         return lsk
     sk.validate()
     if doc.heads is not None:
-        edges = sk.edges
-        if len(doc.heads) != len(edges):
-            raise SkeletonError(
-                f"{len(doc.heads)} heads for {len(edges)} edges"
-            )
-        for (a, b), h in zip(edges, doc.heads):
-            if h not in (a, b):
-                raise SkeletonError(f"head {h} is not an end of edge {(a, b)}")
+        check_heads(sk, doc.heads)
         return sk, Orientation(doc.heads)
     o = _loop_tree_heads(sk)
     if o is None:

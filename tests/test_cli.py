@@ -153,6 +153,17 @@ def test_head_validation():
         skelfile.parse(K1_TEXT + "heads: 0 1 4 5\n")
 
 
+def test_labelled_head_validation(tmp_path, capsys):
+    """A labelled file runs the same head check, and ends with exit 3."""
+    label = "label: 0 0 -1 1 0\n"
+    for heads, msg in (("0 1 4 5", "4 heads for 3 edges"),
+                       ("0 1 3", "head 3 is not an end of edge (4, 5)")):
+        f = tmp_path / "labelled.skel"
+        f.write_text(K1_TEXT + f"heads: {heads}\n" + label)
+        code, out, err = run_cli(capsys, "analyze", str(f))
+        assert code == 3 and out == "" and msg in err, err
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -449,7 +460,7 @@ def test_asymmetric_form_exit_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(homology, "scaled_form", skewed)
     for path in (f, g):
         code, out, err = run_cli(capsys, "analyze", str(path), "--json")
-        assert code == 4 and out == "" and "scaled form is not symmetric" in err, err
+        assert code == 4 and out == "" and "form to restrict is not symmetric" in err, err
 
 
 def test_verify_series_rejects_s_max_above_ceiling(capsys, monkeypatch):
@@ -461,8 +472,8 @@ def test_verify_series_rejects_s_max_above_ceiling(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_series", no_run)
     ceiling = MAX_TREE_SIZE // 2
-    assert ceiling == 8
-    args = cli.build_parser().parse_args(["verify-series", "all", "--s-max", "8"])
+    assert ceiling == 6
+    args = cli.build_parser().parse_args(["verify-series", "all", "--s-max", "6"])
     assert args.s_max == ceiling
     for s in (ceiling + 1, 1000):
         with pytest.raises(SystemExit) as exc:

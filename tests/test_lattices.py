@@ -14,6 +14,7 @@ from ellskel.lattices import (
     is_isometric,
     orthogonal_complement,
     radical_and_quotient,
+    restrict,
     short_vectors,
 )
 
@@ -212,6 +213,44 @@ def test_congruence_index():
         expected = m // gcd(m, *f)
         # index = sqrt(det ratio) for the unmodified identity form
         assert S.det() == expected * expected
+
+
+def test_restrict_differential():
+    """`restrict` against a dense B^t F B / scale, on random symmetric F and
+    random B with zero rows, d = 0 and scales > 1; a scale that does not
+    divide every entry, and an asymmetric F, raise ValueError."""
+    rng = random.Random(89)
+    assert restrict([], [], 3) == []
+    assert restrict([{0: 2}, {1: 4}], [[], []], 2) == []
+    not_integral = 0
+    for _ in range(300):
+        n, d = rng.randint(1, 7), rng.randint(0, 5)
+        s = rng.choice((1, 2, 3, 6))
+        F = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    F[i][j] = F[j][i] = s * rng.randint(-5, 5)
+        B = [[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(d)]
+             for _ in range(n)]
+        B[rng.randrange(n)] = [0] * d
+        dense = [[sum(B[i][a] * F[i][j] * B[j][b] for i in range(n) for j in range(n))
+                  for b in range(d)] for a in range(d)]
+        rows = exact.sparse(F)[0]
+        assert restrict(rows, B, s) == [[x // s for x in r] for r in dense]
+        q = 5 * s
+        if any(x % q for r in dense for x in r):
+            not_integral += 1
+            with pytest.raises(ValueError, match="not integral"):
+                restrict(rows, B, q)
+        else:
+            assert restrict(rows, B, q) == [[x // q for x in r] for r in dense]
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[i].get(j, 0) + 1
+            with pytest.raises(ValueError, match="not symmetric"):
+                restrict(rows, B, s)
+    assert not_integral > 50
 
 
 def test_witness_check_raises(monkeypatch):
