@@ -24,16 +24,12 @@ from .lattices import is_isometric
 from .pseudotrees import (
     SERIES,
     enumerate_marked_trees,
-    leaf_distances,
+    leaf_order,
     orientation_for_series,
     tree_to_skeleton,
     verify_series,
 )
-from .skeletons import (
-    SkeletonError,
-    fiber_types,
-    orientation_classes,
-)
+from .skeletons import SkeletonError, orientation_classes
 
 
 def _transcendental(T):
@@ -46,8 +42,9 @@ def _mw_dict(mw):
 
 def analyze_skeleton(sk, orientation):
     lsk = generalized.from_skeleton(sk, orientation)
-    fibers = fiber_types(lsk)
-    types = fibers[0]
+    # H_Gamma is not kept, so that the region loop's matrices and the
+    # relation matrix are never alive together
+    _, T, mw, (types, _, _), inv = homology.trivalent_invariants(lsk)
     cohom = []
     region_rows = []
     for r in lsk.regions:
@@ -61,10 +58,6 @@ def analyze_skeleton(sk, orientation):
             }
         )
         cohom.append(list(homology.region_cohomology(lsk, r).torsion))
-    # after the region loop, so that its matrices and the relation matrix
-    # are never alive together
-    hg, T, mw = homology.trivalent_invariants(lsk)
-    inv = homology.surface_invariants(lsk, fibers, hg, T)
     return {
         "counts": sk.counts(),
         "genus": inv.g,
@@ -113,16 +106,15 @@ def orientation_sweep(sk):
     """
     rows = []
     for o in orientation_classes(sk):
-        lsk = generalized.from_skeleton(sk, o)
-        types, k, t = fiber_types(lsk)
-        _, T, mw = homology.trivalent_invariants(lsk)
+        inv = homology.trivalent_invariants(generalized.from_skeleton(sk, o))
+        types, _, t = inv.fibers
         rows.append(
             {
                 "heads": list(o.heads),
                 "fibers": sorted(ft.name for ft in types.values()),
                 "t": t,
-                "transcendental_gram": T.gram_rows(),
-                "mordell_weil": _mw_dict(mw),
+                "transcendental_gram": inv.T.gram_rows(),
+                "mordell_weil": _mw_dict(inv.mw),
             }
         )
     return rows
@@ -233,16 +225,16 @@ def cmd_enumerate(args, out):
     for idx, tree in enumerate(enumerate_marked_trees(k)):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, series)
-        m, _ = leaf_distances(tree)
-        _, T, mw = homology.trivalent_invariants(generalized.from_skeleton(sk, o))
+        _, dists = leaf_order(sk, leaves)
+        inv = homology.trivalent_invariants(generalized.from_skeleton(sk, o))
         records.append(
             {
                 "tree": idx,
                 "file": skelfile.format_skeleton(sk, o),
-                "distances": list(m),
-                "transcendental": _transcendental(T),
-                "mordell_weil": _mw_dict(mw),
-                "_lattice": T,
+                "distances": list(dists[:-1]),
+                "transcendental": _transcendental(inv.T),
+                "mordell_weil": _mw_dict(inv.mw),
+                "_lattice": inv.T,
             }
         )
     doc = {"k": k, "count": len(records)}

@@ -20,7 +20,10 @@ radical), and the cokernel of D yields the Mordell-Weil torsion.
 A plain oriented trivalent skeleton enters as the all-Y labelled skeleton
 `generalized.from_skeleton(sk, o)`, where the vertex relation is the
 tripod relation h_m1 + X h_m2 + X² h_m3 = 0 and the form is the tripod
-form; `trivalent_invariants` is that path.  There the radical is spanned
+form; `trivalent_invariants` is that path and the one trivalent analysis.
+It also reads the fiber types and checks the rank identities of (k, t, g)
+and the law det S = det T · |MW|², S the fiber root lattice; the law has
+not been derived for labelled fibers.  On that path the radical is spanned
 by the fundamental cycles of the regions whose monodromy fixes a vector
 (`cycle_radical_and_quotient`), and no kernel of the Gram matrix is
 taken; checks prove the span is the whole radical.  On labelled input
@@ -40,7 +43,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 from .exact import (
@@ -57,6 +60,7 @@ from .lattices import IntLattice, quotient_by, radical_and_quotient, restrict
 from .skeletons import (
     X,
     Y,
+    fiber_types,
     genus,
     gl2_apply,
     gl2_mul,
@@ -218,16 +222,6 @@ def cycle_radical_and_quotient(lsk, hg):
     return [[] for _ in range(d)], T
 
 
-def trivalent_invariants(lsk):
-    """(H_Gamma, T, MW) of an oriented trivalent skeleton, given as its
-    all-Y labelled skeleton; T is definite."""
-    hg = h_gamma(lsk)
-    _, T = cycle_radical_and_quotient(lsk, hg)
-    if T.rank and not T.is_positive_definite():
-        raise AssertionError("transcendental lattice is not positive definite")
-    return hg, T, mordell_weil(hg)
-
-
 def kernel_cycles_span_radical(lsk, hg, radical):
     """The invariant-vector region cycles span the radical over Q: their
     saturation is the radical.
@@ -307,16 +301,14 @@ class SurfaceInvariants:
     rank_ker: int
 
 
-def surface_invariants(sk, fibers, hg, T):
+def _surface_invariants(lsk, fibers, hg, T):
     """Numeric invariants from (k, t, g), cross-checked against H_Gamma.
 
-    `fibers` is the `(types, k, t)` triple that `fiber_types` returned for
-    the orientation `hg` was built with, and T is the quotient by the
-    radical from `trivalent_invariants`.  T is nondegenerate, so the Gram
-    matrix on H_Gamma has rank T.rank.
+    `fibers`, `hg` and T are one orientation's, from `trivalent_invariants`.
+    T is nondegenerate, so the Gram matrix on H_Gamma has rank T.rank.
     """
     _, k, t = fibers
-    g = genus(sk)
+    g = genus(lsk)
     inv = SurfaceInvariants(
         k=k,
         t=t,
@@ -332,7 +324,7 @@ def surface_invariants(sk, fibers, hg, T):
     K = hg.kernel
     kdim = len(K[0]) if K and K[0] else 0
     checks = (
-        (inv.r == len(sk.regions), "region count"),
+        (inv.r == len(lsk.regions), "region count"),
         (kdim == 2 * k, "kernel rank"),
         (kdim - T.rank == inv.rank_ker, "radical rank"),
         (T.rank == inv.rank_T, "rank of T"),
@@ -341,3 +333,35 @@ def surface_invariants(sk, fibers, hg, T):
         if not ok:
             raise AssertionError(f"{what} disagrees with (k, t, g) = {(k, t, g)}")
     return inv
+
+
+class TrivalentInvariants(NamedTuple):
+    """One oriented trivalent skeleton's analysis, every check passed."""
+
+    hg: HGamma
+    T: IntLattice
+    mw: AbelianInvariants
+    fibers: tuple  # (types, k, t), as `fiber_types` returns it
+    surface: SurfaceInvariants
+
+
+def trivalent_invariants(lsk):
+    """The analysis of an oriented trivalent skeleton, given as its all-Y
+    labelled skeleton.
+
+    Checks: T is definite, the rank identities of `_surface_invariants`
+    hold, and det S = det T · |MW|², where S is the fiber root lattice
+    (Shioda and Nikulin's lattice extensions).
+    """
+    hg = h_gamma(lsk)
+    _, T = cycle_radical_and_quotient(lsk, hg)
+    if T.rank and not T.is_positive_definite():
+        raise AssertionError("transcendental lattice is not positive definite")
+    mw = mordell_weil(hg)
+    fibers = fiber_types(lsk)
+    det_S = prod(ft.root_det for ft in fibers[0].values())
+    if det_S != T.det() * mw.order ** 2:
+        raise AssertionError(
+            f"det S = {det_S} is not det T · |MW|² = {T.det()} · {mw.order}²")
+    return TrivalentInvariants(hg, T, mw, fibers,
+                               _surface_invariants(lsk, fibers, hg, T))

@@ -17,7 +17,6 @@ tree); the whole tree is None when k = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from . import homology
 from .exact import cokernel_invariants, mat_mul, sparse, transpose, zeros
@@ -30,7 +29,7 @@ from .lattices import (
     restrict,
     standard_lattice,
 )
-from .skeletons import Orientation, Skeleton, fiber_types, genus
+from .skeletons import Orientation, Skeleton, genus
 
 
 def enumerate_marked_trees(k):
@@ -281,20 +280,6 @@ def expected_fiber_names(series, s):
     return sorted([f"A~{5 * k - 2}", "D~5"] + ["A~0*"] * k)
 
 
-def fiber_lattice_det(types):
-    """Product of the root-lattice determinants of the fibers in `types`,
-    the per-region map that `fiber_types` returns.
-
-    A stable n-gon fiber has root lattice A_(n-1) (0 for A~0*) and the
-    others D_(n+4); det A_n = n + 1 and det D_n = 4 (Conway & Sloane,
-    SPLAG, ch. 4).
-    """
-    d = 1
-    for ft in types.values():
-        d *= ft.n_gon if ft.stable else 4
-    return d
-
-
 @dataclass(frozen=True)
 class SeriesReport:
     series: str
@@ -310,9 +295,9 @@ def verify_series(series, s):
     """Check T_X and MW for every marked tree of the series at level s.
 
     The lattice must match the closed form in every case.  The section
-    group is trivial whenever the fiber lattice and T_X have equal
-    determinants; otherwise its order is forced by the index of the fiber
-    lattice in the unimodular ambient lattice (this happens only at s=1).
+    group, whose order `trivalent_invariants` ties to the determinants by
+    det S = det T · |MW|² (S the fiber root lattice), must be trivial
+    except at s=1.
     """
     k = series_k(series, s)
     expect = expected_lattice(series, s)
@@ -320,21 +305,13 @@ def verify_series(series, s):
     for idx, tree in enumerate(enumerate_marked_trees(k)):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, series)
-        lsk = from_skeleton(sk, o)
-        types, _, _ = fiber_types(lsk)
-        names = sorted(ft.name for ft in types.values())
+        inv = homology.trivalent_invariants(from_skeleton(sk, o))
+        names = sorted(ft.name for ft in inv.fibers[0].values())
         if names != expected_fiber_names(series, s):
             raise AssertionError(f"{series} s={s} tree {idx}: fibers {names}")
-        _, T, mw = homology.trivalent_invariants(lsk)
-        lattice_ok = is_isometric(T, expect)
-        det_T = T.det()
-        det_S = fiber_lattice_det(types)
-        index_sq, rest = divmod(det_S, det_T)
-        order = isqrt(index_sq)
-        if rest or order * order != index_sq:
-            raise AssertionError(f"det S / det T = {det_S} / {det_T} is not a square")
-        mw_ok = (mw.order == order) and (order == 1 or s == 1)
-        results.append((idx, lattice_ok, mw, mw_ok))
+        lattice_ok = is_isometric(inv.T, expect)
+        mw_ok = inv.mw.order == 1 or s == 1
+        results.append((idx, lattice_ok, inv.mw, mw_ok))
     return SeriesReport(series, s, tuple(results))
 
 

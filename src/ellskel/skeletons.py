@@ -269,8 +269,11 @@ class FiberType:
         return self.n_gon - 1 if self.kind == "A" else self.n_gon + 4
 
     @property
-    def stable(self):
-        return self.kind == "A"
+    def root_det(self):
+        """det of the root lattice: A_(n-1) for an n-gon A fiber (the zero
+        lattice for A~0*), D_(n+4) for a D fiber; det A_n = n + 1 and
+        det D_n = 4 (Conway & Sloane, SPLAG, ch. 4)."""
+        return self.n_gon if self.kind == "A" else 4
 
 
 def fiber_types(lsk):

@@ -155,7 +155,7 @@ def _det_law_holds(s):
         sk, leaves = tree_to_skeleton(tree)
         o = orientation_for_series(sk, leaves, "th1.1")
         lsk = generalized.from_skeleton(sk, o)
-        if homology.trivalent_invariants(lsk)[1].det() != 5 * k - 1:
+        if homology.trivalent_invariants(lsk).T.det() != 5 * k - 1:
             return False
     return True
 
@@ -181,12 +181,12 @@ def test_criterion_7_reorientation_invariance():
     ok = True
 
     def check(sk, o, subsets):
-        _, T0, mw0 = trivalent(sk, o)
+        base = trivalent(sk, o)
         for sub in subsets:
-            _, T2, mw2 = trivalent(sk, reorient(sk, o, list(sub)))
-            if mw2 != mw0:
+            inv = trivalent(sk, reorient(sk, o, list(sub)))
+            if inv.mw != base.mw:
                 return False
-            if not is_isometric(T2, T0):
+            if not is_isometric(inv.T, base.T):
                 return False
         return True
 

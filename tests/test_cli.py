@@ -382,14 +382,14 @@ def brute_force_sweep(sk):
         oc = Orientation(key)
         lsk = from_skeleton(sk, oc)
         types, k, t = fiber_types(lsk)
-        _, T, mw = homology.trivalent_invariants(lsk)
+        inv = homology.trivalent_invariants(lsk)
         classes[key] = {
             "heads": list(key),
             "fibers": sorted(ft.name for ft in types.values()),
             "t": t,
-            "transcendental_gram": [list(r) for r in T.gram],
-            "mordell_weil": {"free_rank": mw.free_rank,
-                             "torsion": list(mw.torsion)},
+            "transcendental_gram": [list(r) for r in inv.T.gram],
+            "mordell_weil": {"free_rank": inv.mw.free_rank,
+                             "torsion": list(inv.mw.torsion)},
         }
     return [classes[k] for k in sorted(classes)]
 
@@ -532,13 +532,34 @@ def test_verify_series_cli(capsys):
     assert doc["results"][0]["mw_torsion"] == [3]
 
 
-def test_verify_series_det_remainder_exit_4(capsys, monkeypatch):
-    # th1.3 s=1 has det T = 16; det S = 67 floors to 67 // 16 = 4 = 2^2,
-    # but 16 does not divide 67, so no section group fits
-    monkeypatch.setattr(pseudotrees, "fiber_lattice_det", lambda types: 67)
-    code, out, err = run_cli(capsys, "verify-series", "th1.3", "--s-max", "1")
-    assert code == 4
-    assert "det S / det T = 67 / 16 is not a square" in err
+def test_verify_series_det_remainder_exit_4(tmp_path, capsys, monkeypatch):
+    """A wrong det S or a wrong MW breaks det S = det T · |MW|², and every
+    trivalent command exits 4: `analyze` and its sweep on the th1.3 s=1
+    tree (det T = 16, MW trivial), `enumerate 3` and the series."""
+    sk, leaves = tree_to_skeleton(enumerate_marked_trees(2)[0])
+    f = tmp_path / "th1_3.skel"
+    f.write_text(skelfile.format_skeleton(
+        sk, orientation_for_series(sk, leaves, "th1.3")))
+    commands = (("analyze", str(f)), ("analyze", str(f), "--orientation-sweep"),
+                ("enumerate", "3"), ("verify-series", "th1.3", "--s-max", "1"))
+    for argv in commands:
+        assert run_cli(capsys, *argv)[0] == 0
+    mordell_weil = homology.mordell_weil
+
+    def torsion_2_if_trivial(hg):
+        mw = mordell_weil(hg)
+        return exact.AbelianInvariants(0, (2,)) if mw.is_trivial() else mw
+
+    # the first mutant takes D_(n+4) for A_(n-1)
+    mutants = ((skeletons.FiberType, "root_det", property(lambda ft: ft.n_gon)),
+               (homology, "mordell_weil", torsion_2_if_trivial))
+    for target, name, value in mutants:
+        with monkeypatch.context() as m:
+            m.setattr(target, name, value)
+            for argv in commands:
+                code, _, err = run_cli(capsys, *argv)
+                assert code == 4, (name, argv)
+                assert "is not det T · |MW|²" in err
 
 
 def test_enumerate(capsys):
@@ -637,13 +658,15 @@ def test_one_fiber_types_per_analysis(tmp_path, capsys, monkeypatch):
 def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
     """An oriented trivalent skeleton becomes its all-Y labelled skeleton
     once: per analysis, per sweep class, per series tree and per
-    enumerated tree."""
+    enumerated tree; a series or enumerated tree is built once."""
     bindings = [count_calls(monkeypatch, module, "from_skeleton")
                 for module in (cli, generalized, homology, pseudotrees)
                 if hasattr(module, "from_skeleton")]
+    builds = [count_calls(monkeypatch, module, "tree_to_skeleton")
+              for module in (cli, pseudotrees)]
 
     def run(*argv):
-        for calls in bindings:
+        for calls in bindings + builds:
             calls.clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
@@ -658,9 +681,9 @@ def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
         n, doc = run("analyze", str(f), "--json", "--orientation-sweep")
         assert n == 1 + len(doc["orientation_sweep"])
     n, doc = run("verify-series", "all", "--s-max", "2", "--json")
-    assert n == len(doc["results"]) == 18
+    assert n == len(doc["results"]) == sum(map(len, builds)) == 18
     n, doc = run("enumerate", "4", "--json")
-    assert n == doc["count"] == 5
+    assert n == doc["count"] == sum(map(len, builds)) == 5
 
 
 def test_one_monodromy_walk_per_region(tmp_path, capsys, monkeypatch):

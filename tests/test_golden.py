@@ -5,6 +5,8 @@
 is `tests/golden/NAME.json`.  The inputs cover trivalent skeletons of
 genus 0 and 1, loop-decorated chain trees, one spliced fiber of each
 exceptional kind, a 6-valent vertex and two orientation sweeps.
+`COMMANDS` pins whole commands the same way, against `NAME.json` with
+`--json` and `NAME.txt` without.
 """
 
 from pathlib import Path
@@ -19,6 +21,9 @@ COMMANDS = {
     "enumerate_4": ["enumerate", "4", "--json"],
     "enumerate_4_dedup": ["enumerate", "4", "--dedup", "--json"],
     "verify_series_all_s2": ["verify-series", "all", "--s-max", "2", "--json"],
+    "enumerate_4_text": ["enumerate", "4"],
+    "enumerate_4_dedup_text": ["enumerate", "4", "--dedup"],
+    "verify_series_all_s2_text": ["verify-series", "all", "--s-max", "2"],
 }
 
 
@@ -44,4 +49,5 @@ def test_analyze_golden(name, capsys):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_golden(name, capsys):
-    assert run(capsys, COMMANDS[name]) == (GOLDEN / f"{name}.json").read_text()
+    suffix = ".json" if "--json" in COMMANDS[name] else ".txt"
+    assert run(capsys, COMMANDS[name]) == (GOLDEN / f"{name}{suffix}").read_text()

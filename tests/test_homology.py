@@ -33,7 +33,6 @@ from ellskel.homology import (
     kernel_cycles_span_radical,
     mordell_weil,
     region_cohomology,
-    surface_invariants,
     transcendental_lattice,
     trivalent_invariants,
 )
@@ -631,8 +630,7 @@ def test_region_cohomology_matches_per_step_walk():
 
 def test_surface_invariants_k1():
     lsk = from_skeleton(PSEUDOTREE_K1, k1_all_A_orientation())
-    hg, T, _ = trivalent_invariants(lsk)
-    inv = surface_invariants(lsk, fiber_types(lsk), hg, T)
+    inv = trivalent_invariants(lsk).surface
     assert (inv.k, inv.t, inv.g) == (1, 1, 0)
     assert inv.chi == 12
     assert inv.sigma_plus == 1
@@ -646,8 +644,7 @@ def test_surface_invariants_torus_theta():
     sk = THETA_TORUS
     # find an orientation with k+t even (always true) and check r with g=1
     lsk = from_skeleton(sk, default_orientation(sk))
-    hg, T, _ = trivalent_invariants(lsk)
-    inv = surface_invariants(lsk, fiber_types(lsk), hg, T)
+    inv = trivalent_invariants(lsk).surface
     assert inv.g == 1
     assert inv.r == 1
 
@@ -657,11 +654,10 @@ def test_transcendental_lattice_positive_definite():
     for _ in range(15):
         sk = random_skeleton(rng, rng.choice([2, 4]))
         lsk = from_skeleton(sk, default_orientation(sk))
-        hg, T, _ = trivalent_invariants(lsk)
-        inv = surface_invariants(lsk, fiber_types(lsk), hg, T)
-        assert T.rank == inv.rank_T
-        if T.rank:
-            assert T.is_positive_definite()
+        inv = trivalent_invariants(lsk)
+        assert inv.T.rank == inv.surface.rank_T
+        if inv.T.rank:
+            assert inv.T.is_positive_definite()
 
 
 def test_reorient_invariance():
@@ -669,14 +665,14 @@ def test_reorient_invariance():
     for _ in range(8):
         sk = random_skeleton(rng, 2)
         o = default_orientation(sk)
-        _, T0, mw0 = trivalent_invariants(from_skeleton(sk, o))
+        base = trivalent_invariants(from_skeleton(sk, o))
         nv = sk.n_ends // 3
         for bits in range(2**nv):
             subset = [v for v in range(nv) if bits >> v & 1]
             o2 = reorient(sk, o, subset)
-            _, T2, mw2 = trivalent_invariants(from_skeleton(sk, o2))
-            assert is_isometric(T0, T2)
-            assert mw2 == mw0
+            inv = trivalent_invariants(from_skeleton(sk, o2))
+            assert is_isometric(base.T, inv.T)
+            assert inv.mw == base.mw
 
 
 def test_engine_has_no_assert_statements():

@@ -12,7 +12,6 @@ from ellskel.pseudotrees import (
     contract,
     enumerate_marked_trees,
     expected_lattice,
-    fiber_lattice_det,
     leaf_distances,
     leaf_order,
     loose_end_count,
@@ -142,7 +141,7 @@ def test_expected_lattice_determinants():
     assert expected_lattice("th1.3", 1).det() == 16
 
 
-def test_fiber_lattice_det_closed_form():
+def test_root_det_closed_form():
     """det A_(n-1) = n and det D_(n+4) = 4 against the Bareiss determinant
     of every fiber root lattice of every series tree up to s = 3."""
     for series in SERIES:
@@ -151,10 +150,8 @@ def test_fiber_lattice_det_closed_form():
                 sk, leaves = tree_to_skeleton(tree)
                 o = orientation_for_series(sk, leaves, series)
                 types, _, _ = fiber_types(from_skeleton(sk, o))
-                want = 1
                 for ft in types.values():
-                    want *= root_lattice(ft).det()
-                assert fiber_lattice_det(types) == want
+                    assert ft.root_det == root_lattice(ft).det()
 
 
 @pytest.mark.parametrize("series", SERIES)
@@ -174,15 +171,15 @@ def test_tree_edge_orientation_is_irrelevant():
         loop_ends = {lf.loop_tail for lf in leaves} | {lf.loop_head for lf in leaves}
         for series in ("th1.2", "th1.4"):
             o = orientation_for_series(sk, leaves, series)
-            _, T0, mw0 = homology.trivalent_invariants(from_skeleton(sk, o))
+            base = homology.trivalent_invariants(from_skeleton(sk, o))
             heads = list(o.heads)
             for i, (a, b) in enumerate(sk.edges):
                 if a not in loop_ends and rng.random() < 0.5:
                     heads[i] = a + b - heads[i]
             o2 = Orientation(tuple(heads))
-            _, T2, mw2 = homology.trivalent_invariants(from_skeleton(sk, o2))
-            assert is_isometric(T0, T2)
-            assert mw2 == mw0
+            inv = homology.trivalent_invariants(from_skeleton(sk, o2))
+            assert is_isometric(base.T, inv.T)
+            assert inv.mw == base.mw
 
 
 def test_braid_words_shape():
