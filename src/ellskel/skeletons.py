@@ -168,6 +168,22 @@ def check_heads(sk, heads):
             raise SkeletonError(f"head {h} is not an end of edge {(a, b)}")
 
 
+def stable_loop_orientation(sk):
+    """The stable-loop orientation of a loop-decorated tree (genus 0, k+1
+    monogons and one more region), else None: each loop is headed at the
+    end its monogon's op step reaches, so the loop fiber is stable, and
+    every other edge at its smaller end."""
+    if genus(sk) != 0:
+        return None
+    rs = sk.regions
+    monogons = [r for r in rs if r.size == 1]
+    k = sk.n_ends // 6
+    if len(monogons) != k + 1 or len(rs) != k + 2:
+        return None
+    loop_heads = {sk.op[r.cycle[0]] for r in monogons}
+    return Orientation(tuple(b if b in loop_heads else a for a, b in sk.edges))
+
+
 def orientation_classes(sk):
     """The smallest orientation of each class modulo vertex flips, in order.
 

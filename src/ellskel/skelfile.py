@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .generalized import LabelledSkeleton
 from .skeletons import (Orientation, Skeleton, SkeletonError, Y, _orbits,
-                        check_heads, genus)
+                        check_heads, stable_loop_orientation)
 
 
 class ParseError(ValueError):
@@ -129,23 +129,6 @@ def parse_document(text):
     return SkeletonDoc(n, op, nx, heads, tuple(labels) if labels else None)
 
 
-def _loop_tree_heads(sk):
-    """Stable-loop heads if sk is a loop-decorated tree, else None."""
-    if genus(sk) != 0:
-        return None
-    rs = sk.regions
-    monogons = [r for r in rs if r.size == 1]
-    k = sk.n_ends // 6
-    if len(monogons) != k + 1 or len(rs) != k + 2:
-        return None
-    loop_heads = {}
-    for r in monogons:
-        (alpha,) = r.cycle
-        e = tuple(sorted((alpha, sk.op[alpha])))
-        loop_heads[e] = sk.op[alpha]
-    return Orientation(tuple(loop_heads.get(e, e[0]) for e in sk.edges))
-
-
 def resolve(doc):
     """(Skeleton, Orientation) or LabelledSkeleton from a parsed document."""
     sk = Skeleton(doc.n_ends, doc.op, doc.nx)
@@ -165,7 +148,7 @@ def resolve(doc):
     if doc.heads is not None:
         check_heads(sk, doc.heads)
         return sk, Orientation(doc.heads)
-    o = _loop_tree_heads(sk)
+    o = stable_loop_orientation(sk)
     if o is None:
         raise SkeletonError(
             "no heads line and not a loop-decorated tree; an orientation "

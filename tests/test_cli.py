@@ -79,6 +79,12 @@ def test_default_heads_for_loop_trees():
     assert sk == PSEUDOTREE_K1
     names = sorted(ft.name for ft in fiber_types(from_skeleton(sk, o))[0].values())
     assert names == ["A~0*", "A~0*", "D~8"]
+    # a heads-less tree file takes the stable-loop orientation of th1.1
+    for k in range(1, 7):
+        for tree in enumerate_marked_trees(k):
+            sk, leaves = tree_to_skeleton(tree)
+            assert skelfile.parse(skelfile.format_skeleton(sk)) == (
+                sk, orientation_for_series(sk, leaves, "th1.1"))
 
 
 def test_missing_heads_rejected_otherwise():
@@ -341,6 +347,22 @@ def test_analyze_chain_k512(tmp_path, capsys):
         "02e10273b679227af6011287170cd3eb08128b217cb210aea2b13e69a1fb4f4a")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("argv,digest", [
+    (("--json",), "30314efaac724417e26f3ad2d0743f2b09a532955195ccae92608e304c656091"),
+    ((), "c54aec1871bcb8a27bc32514a99e550f18ab6151abe4ba9e6215bd8fc3f2fa16"),
+    (("--dedup", "--json"),
+     "4bff20cf1973310b924b27e1713ec645c029a96cb51af709df803a72224b9987"),
+    (("--dedup",), "7be88150f198d0f4fd5c2900f128408fcf7eaca190c661dfc89e8ba89e1def60"),
+])
+def test_enumerate_8(capsys, argv, digest):
+    """All 429 trees with 8 loops, byte for byte, in JSON and text, with
+    and without `--dedup`."""
+    code, out, err = run_cli(capsys, "enumerate", "8", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/path.skel")
     assert code == 2
@@ -584,6 +606,28 @@ def test_enumerate_dedup(capsys):
         assert sum(len(c["trees"]) for c in doc["classes"]) == doc["count"]
 
 
+def test_enumerate_dedup_keeps_class_representatives(capsys, monkeypatch):
+    """`enumerate --dedup` formats no record, and tests each tree against
+    the T of each class representative only."""
+    formats = count_calls(monkeypatch, skelfile, "format_skeleton")
+    tests = count_calls(monkeypatch, cli, "is_isometric")
+    lattices_of = []
+    invariants = homology.trivalent_invariants
+
+    def keep_T(lsk):
+        inv = invariants(lsk)
+        lattices_of.append(inv.T)
+        return inv
+
+    monkeypatch.setattr(homology, "trivalent_invariants", keep_T)
+    code, out, err = run_cli(capsys, "enumerate", "6", "--dedup", "--json")
+    assert code == 0, err
+    classes = json.loads(out)["classes"]
+    assert len(lattices_of) == 42 and not formats
+    representatives = {id(lattices_of[c["trees"][0]]) for c in classes}
+    assert tests and all(id(args[1]) in representatives for args in tests)
+
+
 def test_analyze_parabolic_label_exit_0(tmp_path, capsys):
     # the region monodromy [[3, -2], [2, -1]] is conjugate to [[1, -2], [0, 1]]
     f = tmp_path / "parabolic.skel"
@@ -658,15 +702,16 @@ def test_one_fiber_types_per_analysis(tmp_path, capsys, monkeypatch):
 def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
     """An oriented trivalent skeleton becomes its all-Y labelled skeleton
     once: per analysis, per sweep class, per series tree and per
-    enumerated tree; a series or enumerated tree is built once."""
+    enumerated tree; a series or enumerated tree is built once, and its
+    outer region walked once."""
     bindings = [count_calls(monkeypatch, module, "from_skeleton")
                 for module in (cli, generalized, homology, pseudotrees)
                 if hasattr(module, "from_skeleton")]
-    builds = [count_calls(monkeypatch, module, "tree_to_skeleton")
-              for module in (cli, pseudotrees)]
+    builds = count_calls(monkeypatch, pseudotrees, "tree_to_skeleton")
+    walks = count_calls(monkeypatch, pseudotrees, "leaf_order")
 
     def run(*argv):
-        for calls in bindings + builds:
+        for calls in bindings + [builds, walks]:
             calls.clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
@@ -681,9 +726,9 @@ def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
         n, doc = run("analyze", str(f), "--json", "--orientation-sweep")
         assert n == 1 + len(doc["orientation_sweep"])
     n, doc = run("verify-series", "all", "--s-max", "2", "--json")
-    assert n == len(doc["results"]) == sum(map(len, builds)) == 18
+    assert n == len(doc["results"]) == len(builds) == len(walks) == 18
     n, doc = run("enumerate", "4", "--json")
-    assert n == doc["count"] == sum(map(len, builds)) == 5
+    assert n == doc["count"] == len(builds) == len(walks) == 5
 
 
 def test_one_monodromy_walk_per_region(tmp_path, capsys, monkeypatch):
