@@ -64,9 +64,8 @@ def analyze_skeleton(sk, orientation):
 
 
 def analyze_labelled(lsk):
-    hg = homology.h_gamma(lsk)
-    radical, T = homology.transcendental_lattice(hg)
-    mw = homology.mordell_weil(hg)
+    # the monodromies are classified first: one that is neither unipotent
+    # nor torsion (exit 3) then costs no lattice work
     rows = []
     for r, m in lsk.monodromies.items():
         rows.append(
@@ -76,6 +75,9 @@ def analyze_labelled(lsk):
                 "monodromy": list(generalized.classify_monodromy(m)),
             }
         )
+    hg = homology.h_gamma(lsk)
+    radical, T = homology.transcendental_lattice(hg)
+    mw = homology.mordell_weil(hg)
     return {
         "counts": lsk.counts(),
         "labelled": True,

@@ -144,38 +144,22 @@ def insert_E_fiber(lsk, edge_idx, kind, variant=None):
         raise ValueError("can only insert on a Y-labelled edge")
     h = lsk.heads[edge_idx]
     n0 = lsk.n_ends
-    op = list(lsk.op)
-    nxp = list(lsk.nx)
+    # vertices u = (u0 u1 u2) and v = (v0 v1 v2); (a, b) becomes (a, u0)
+    # and (x, b), and the gadget's edges are (end, end, head, label)
+    u0, u1, u2, v0, v1, v2 = range(n0, n0 + 6)
+    if len(labels) == 1:  # v hangs off u by (u2, v0) and carries the loop
+        x, gadget = u1, ((u2, v0, u2, Y), (v1, v2, v2, labels[0]))
+    else:  # the arcs bound the new bigon region {u1, v1}
+        x, gadget = v0, ((u1, v2, v2, labels[0]), (u2, v1, u2, labels[1]))
+    op = list(lsk.op) + [0] * 6
+    nxp = list(lsk.nx) + [u1, u2, u0, v1, v2, v0]
     edge_data = {
-        e: (lsk.heads[i], lsk.labels[i]) for i, e in enumerate(edges) if i != edge_idx
+        e: (head, L) for e, head, L in zip(edges, lsk.heads, lsk.labels) if e != (a, b)
     }
-    if len(labels) == 1:
-        # u = (p, s, r) subdivides (a, b); w = (w0, w1, w2) carries the loop
-        p, s, r, w0, w1, w2 = range(n0, n0 + 6)
-        op += [0] * 6
-        nxp += [0] * 6
-        for x_, y_ in ((p, s), (s, r), (r, p), (w0, w1), (w1, w2), (w2, w0)):
-            nxp[x_] = y_
-        for x_, y_ in ((a, p), (s, b), (r, w0), (w1, w2)):
-            op[x_], op[y_] = y_, x_
-        edge_data[tuple(sorted((a, p)))] = (a if h == a else p, Y)
-        edge_data[tuple(sorted((s, b)))] = (b if h == b else s, Y)
-        edge_data[tuple(sorted((r, w0)))] = (r, Y)
-        edge_data[(w1, w2)] = (w2, labels[0])
-    else:
-        # u = (p, c1, d1), v = (q, c2, d2); arcs (c1,d2) and (d1,c2) bound
-        # the new bigon region {c1, c2}
-        p, c1, d1, q, c2, d2 = range(n0, n0 + 6)
-        op += [0] * 6
-        nxp += [0] * 6
-        for x_, y_ in ((p, c1), (c1, d1), (d1, p), (q, c2), (c2, d2), (d2, q)):
-            nxp[x_] = y_
-        for x_, y_ in ((a, p), (q, b), (c1, d2), (d1, c2)):
-            op[x_], op[y_] = y_, x_
-        edge_data[tuple(sorted((a, p)))] = (a if h == a else p, Y)
-        edge_data[tuple(sorted((q, b)))] = (b if h == b else q, Y)
-        edge_data[tuple(sorted((c1, d2)))] = (d2, labels[0])
-        edge_data[tuple(sorted((d1, c2)))] = (d1, labels[1])
+    for p, q, head, L in ((a, u0, a if h == a else u0, Y),
+                          (x, b, b if h == b else x, Y), *gadget):
+        op[p], op[q] = q, p
+        edge_data[tuple(sorted((p, q)))] = (head, L)
     out_edges = [(i, op[i]) for i in range(n0 + 6) if i < op[i]]
     heads = tuple(edge_data[e][0] for e in out_edges)
     labs = tuple(edge_data[e][1] for e in out_edges)

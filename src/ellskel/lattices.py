@@ -385,8 +385,8 @@ def short_vectors(G, bound):
     return out
 
 
-class _Quotient:
-    """A lattice modulo its radical, LLL-reduced when it is definite.
+class _Reduced:
+    """A positive definite lattice, LLL-reduced.
 
     As the right-hand side of `is_isometric` it is kept by `_target`, and
     the short vectors of its reduced Gram, grouped by norm and each paired
@@ -394,11 +394,9 @@ class _Quotient:
     """
 
     def __init__(self, L):
-        K, Q = radical_and_quotient(L)
-        self.radical_rank = len(K[0]) if K and K[0] else 0
-        self.quotient = Q
-        if Q.is_positive_definite():
-            self.reduced, self.transform, self.inverse = lll_reduce(Q.gram_rows())
+        if not L.is_positive_definite():
+            raise ValueError("isometry testing supports definite lattices only")
+        self.reduced, self.transform, self.inverse = lll_reduce(L.gram_rows())
         self.bound = 0
         self.by_norm = {}
 
@@ -415,38 +413,34 @@ class _Quotient:
 
 @lru_cache(maxsize=16)
 def _target(L):
-    return _Quotient(L)
+    return _Reduced(L)
 
 
 def is_isometric(L1, L2, witness=False):
-    """Decide L1 ~= L2 (after radical removal, positive definite, small rank).
+    """Decide L1 ~= L2 for positive definite lattices of small rank.
 
-    Both quotients are LLL-reduced (`lll_reduce`).  The images of L1's
-    reduced basis are searched by backtracking among the short vectors of
-    L2's reduced Gram, up to the largest norm in L1's reduced basis.  The
-    L2 side is cached per lattice (`_target`), so testing many lattices
-    against one L2 reduces it and enumerates its short vectors once.
+    A pair of different rank or det is not isometric, whatever its forms;
+    otherwise a lattice that is not positive definite raises ValueError.
+    Both are LLL-reduced (`lll_reduce`).  The images of L1's reduced basis
+    are searched by backtracking among the short vectors of L2's reduced
+    Gram, up to the largest norm in L1's reduced basis.  The L2 side is
+    cached per lattice (`_target`), so testing many lattices against one
+    L2 reduces it and enumerates its short vectors once.
 
-    With witness=True returns (flag, U) where G1' = U^t G2' U on the
-    nondegenerate quotients; otherwise just the flag.  A found U is checked
-    either way: U^t G2' U = G1', and det(U^t U) = 1 by `symmetric_bareiss`,
-    which says det U = +-1.
+    With witness=True returns (flag, U) where G1 = U^t G2 U; otherwise
+    just the flag.  A found U is checked either way: U^t G2 U = G1, and
+    det(U^t U) = 1 by `symmetric_bareiss`, which says det U = +-1.
     """
-    A, B = _Quotient(L1), _target(L2)
-    Q1, Q2 = A.quotient, B.quotient
 
     def result(flag, U=None):
         return (flag, U) if witness else flag
 
-    n = Q1.rank
-    if A.radical_rank != B.radical_rank or n != Q2.rank:
+    n = L1.rank
+    if n != L2.rank or L1.det() != L2.det():
         return result(False)
     if n == 0:
         return result(True, identity(0))
-    if Q1.det() != Q2.det():
-        return result(False)
-    if not (Q1.is_positive_definite() and Q2.is_positive_definite()):
-        raise ValueError("isometry testing supports definite lattices only")
+    A, B = _Reduced(L1), _target(L2)
     G1 = A.reduced
     by_norm = B.vectors(max(G1[i][i] for i in range(n)))
     cols = [None] * n
@@ -463,10 +457,10 @@ def is_isometric(L1, L2, witness=False):
 
     if not place(0):
         return result(False)
-    # G1 = W^t G2 W on the reduced bases, with Gi = Ti^t Qi Ti
+    # G1' = W^t G2' W on the reduced bases, with Gi' = Ti^t Gi Ti
     W = transpose(cols)
     U = mat_mul(B.transform, mat_mul(W, A.inverse))
-    if restrict(sparse(Q2.gram)[0], U) != Q1.gram_rows():
+    if restrict(sparse(L2.gram)[0], U) != L1.gram_rows():
         raise AssertionError("isometry witness fails U^t G2 U = G1")
     d2 = symmetric_bareiss(restrict([{i: 1} for i in range(n)], U))[0]
     if d2 != 1:

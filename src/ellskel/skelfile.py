@@ -27,7 +27,6 @@ an orientation is part of the surface data and cannot be guessed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .generalized import LabelledSkeleton
 from .skeletons import (Orientation, Skeleton, SkeletonError, Y, _orbits,
@@ -63,19 +62,17 @@ def _parse_cycles(text, n, line_no):
     return tuple(perm[x] for x in range(n))
 
 
-@dataclass(frozen=True)
-class SkeletonDoc:
-    n_ends: int
-    op: tuple
-    nx: tuple
-    heads: tuple | None
-    labels: tuple | None  # ((edge_index, 2x2 tuple), ...) or None
+def parse(text):
+    """(Skeleton, Orientation), or a LabelledSkeleton when the file has a
+    `label:` line, built as the lines are read.
 
-
-def parse_document(text):
-    n = None
-    op = nx = heads = None
-    labels = []
+    A malformed line raises ParseError with its line number (0 for a
+    missing `ends:`, `nx:` or `op:`); a well-formed file that does not
+    describe a valid skeleton raises SkeletonError.
+    """
+    n = heads = None
+    perms = {}
+    labels = {}  # edge index -> 2x2 tuple, in file order
     seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -100,11 +97,7 @@ def parse_document(text):
         elif key in ("nx", "op"):
             if n is None:
                 raise ParseError(f"'{key}:' before 'ends:'", line_no)
-            perm = _parse_cycles(rest, n, line_no)
-            if key == "nx":
-                nx = perm
-            else:
-                op = perm
+            perms[key] = _parse_cycles(rest, n, line_no)
         elif key == "heads":
             try:
                 heads = tuple(int(tok) for tok in rest.split())
@@ -116,38 +109,32 @@ def parse_document(text):
                 raise ParseError("label needs: edge-index and 4 matrix entries",
                                  line_no)
             try:
-                vals = [int(t) for t in toks]
+                idx, a, b, c, d = map(int, toks)
             except ValueError:
                 raise ParseError(f"bad label line {rest!r}", line_no)
-            if any(idx == vals[0] for idx, _ in labels):
-                raise ParseError(f"second label for edge {vals[0]}", line_no)
-            labels.append((vals[0], ((vals[1], vals[2]), (vals[3], vals[4]))))
+            if idx in labels:
+                raise ParseError(f"second label for edge {idx}", line_no)
+            labels[idx] = ((a, b), (c, d))
         else:
             raise ParseError(f"unknown key {key!r}", line_no)
-    if n is None or op is None or nx is None:
+    if n is None or len(perms) < 2:
         raise ParseError("file must define ends, nx and op", 0)
-    return SkeletonDoc(n, op, nx, heads, tuple(labels) if labels else None)
-
-
-def resolve(doc):
-    """(Skeleton, Orientation) or LabelledSkeleton from a parsed document."""
-    sk = Skeleton(doc.n_ends, doc.op, doc.nx)
-    if doc.labels is not None:
-        edges = sk.edges
-        if doc.heads is None:
+    sk = Skeleton(n, perms["op"], perms["nx"])
+    if labels:
+        if heads is None:
             raise SkeletonError("labelled skeletons require an explicit heads line")
-        labels = [Y] * len(edges)
-        for idx, mat in doc.labels:
-            if not 0 <= idx < len(edges):
+        edge_labels = [Y] * len(sk.edges)
+        for idx, mat in labels.items():
+            if not 0 <= idx < len(edge_labels):
                 raise SkeletonError(f"label for nonexistent edge {idx}")
-            labels[idx] = mat
-        lsk = LabelledSkeleton(doc.n_ends, doc.op, doc.nx, doc.heads, tuple(labels))
+            edge_labels[idx] = mat
+        lsk = LabelledSkeleton(n, sk.op, sk.nx, heads, tuple(edge_labels))
         lsk.validate()
         return lsk
     sk.validate()
-    if doc.heads is not None:
-        check_heads(sk, doc.heads)
-        return sk, Orientation(doc.heads)
+    if heads is not None:
+        check_heads(sk, heads)
+        return sk, Orientation(heads)
     o = stable_loop_orientation(sk)
     if o is None:
         raise SkeletonError(
@@ -155,10 +142,6 @@ def resolve(doc):
             "must be given explicitly"
         )
     return sk, o
-
-
-def parse(text):
-    return resolve(parse_document(text))
 
 
 def format_skeleton(sk, orientation=None):

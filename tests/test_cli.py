@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -117,6 +118,57 @@ def test_missing_heads_rejected_otherwise():
 def test_parse_errors(text, fragment):
     with pytest.raises(skelfile.ParseError, match=fragment):
         skelfile.parse(text)
+
+
+PARSE_PIN_FILES = (
+    # with heads, a comment and a blank line
+    "# theta graph\nends: 6\nnx: (0 1 2)(3 4 5)\n\nop: (0 3)(1 2)(4 5)\n"
+    "heads: 0 2 5\n",
+    # heads-less loop tree, k = 2
+    "ends: 12\nnx: (0 1 2)(3 4 5)(6 7 8)(9 10 11)\n"
+    "op: (0 3)(1 2)(4 6)(5 9)(7 8)(10 11)\n",
+    # labelled: the k = 1 tree with an E8 splice
+    "ends: 12\nnx: (0 1 2)(3 4 5)(6 7 8)(9 10 11)\n"
+    "op: (0 6)(1 2)(3 9)(4 5)(7 11)(8 10)\nheads: 0 2 9 5 11 8\n"
+    "label: 4 1 -1 1 0\nlabel: 5 -1 1 -1 0\n",
+)
+
+
+def parse_pin_corpus():
+    """Each file of PARSE_PIN_FILES with one line deleted, one line
+    doubled, or one token (a run of characters other than blanks and
+    parentheses) replaced by x, -1, 999, 0 or nothing."""
+    for text in PARSE_PIN_FILES:
+        lines = text.splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            yield "".join(lines[:i] + lines[i + 1:])
+            yield "".join(lines[:i + 1] + lines[i:])
+            for m in re.finditer(r"[^\s()]+", line):
+                for tok in ("x", "-1", "999", "0", ""):
+                    mutated = line[:m.start()] + tok + line[m.end():]
+                    yield "".join(lines[:i] + [mutated] + lines[i + 1:])
+
+
+def parse_outcome(text):
+    try:
+        parsed = skelfile.parse(text)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    if isinstance(parsed, tuple):
+        return "skeleton", skelfile.format_skeleton(*parsed)
+    return "labelled", skelfile.format_labelled(parsed)
+
+
+def test_parse_outcomes_pinned():
+    """The outcome of `skelfile.parse` on a fixed corpus of mutated files:
+    the exception class and message (with its line number), or the file
+    the result formats back to.  The digest was recorded when parsing
+    still went through a separate document record."""
+    outcomes = [parse_outcome(text) for text in parse_pin_corpus()]
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert (len(outcomes), len(set(outcomes))) == (520, 234)
+    assert digest == (
+        "6478e473f98828222bc98a4c460557f79d2dceb37f390d0c22cae3f162719c51")
 
 
 def test_parse_error_carries_line_number():
@@ -240,14 +292,18 @@ def test_analyze_invalid_skeleton_exit_3(tmp_path, capsys):
     assert "connected" in err
 
 
-def test_analyze_hyperbolic_label_exit_3(tmp_path, capsys):
+def test_analyze_hyperbolic_label_exit_3(tmp_path, capsys, monkeypatch):
+    """A hyperbolic region monodromy ends the analysis before any lattice
+    work: no H_Gamma is built."""
+    calls = count_calls(monkeypatch, homology, "h_gamma")
     f = tmp_path / "hyp.skel"
     f.write_text(K1_TEXT + "heads: 0 2 5\nlabel: 1 2 1 1 1\n")
     code, out, err = run_cli(capsys, "analyze", str(f), "--json")
     assert code == 3
     assert out == ""
-    assert "invalid skeleton" in err and "unipotent" in err
-    assert "Traceback" not in err
+    assert err == ("invalid skeleton: monodromy ((-2, -3), (-1, -2)) is neither "
+                   "unipotent nor small torsion\n")
+    assert calls == []
 
 
 def test_duplicate_label_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -30,7 +31,7 @@ from ellskel.skeletons import (
     gl2_mul,
     region_monodromy,
 )
-from ellskel.skelfile import parse
+from ellskel.skelfile import format_labelled, parse
 
 from test_homology import through_expansion
 from test_skeletons import default_orientation, perm_from_cycles, random_skeleton
@@ -104,6 +105,27 @@ DISK_ORDERS = {
     ("E8", 0): 6,
     ("E8", 1): 6,
 }
+
+
+def test_splice_outputs_pinned():
+    """Every edge of the th1.1-oriented all-Y skeleton of each marked tree
+    with k <= 3, spliced with each (kind, variant): 27 edges x 8 = 216
+    files, hashed as `format_labelled` writes them.  The digest was
+    recorded when each gadget still had its own construction branch."""
+    digest = hashlib.sha256()
+    count = 0
+    for k in (1, 2, 3):
+        for tree in enumerate_marked_trees(k):
+            sk, leaves = tree_to_skeleton(tree)
+            base = from_skeleton(sk, orientation_for_series(sk, leaves, "th1.1"))
+            for ei in range(len(base.edges)):
+                for kind, var in DISK_ORDERS:
+                    lsk = insert_E_fiber(base, ei, kind, var)
+                    digest.update(format_labelled(lsk).encode())
+                    count += 1
+    assert count == 216
+    assert digest.hexdigest() == (
+        "62193e632c9816bdac7b3b4e4c1a55e9e5cc8b8049f76fd6901b34178098cf62")
 
 
 def test_inserted_region_monodromies():

@@ -362,10 +362,38 @@ def test_is_isometric():
     # same det, same rank, not isometric: diag(1,16) vs diag(4,4)
     assert not is_isometric(IntLattice([[1, 0], [0, 16]]),
                             IntLattice([[4, 0], [0, 4]]))
-    # radicals compared by rank
+    # a degenerate lattice is told apart by its det
     assert not is_isometric(IntLattice([[1, 0], [0, 0]]),
                             IntLattice([[1, 0], [0, 1]]))
     assert is_isometric(IntLattice([]), IntLattice([]))
+
+
+def test_is_isometric_takes_definite_lattices_only(monkeypatch):
+    """A pair of equal rank and det with a form that is not positive
+    definite raises ValueError, and a pair whose dets differ is rejected
+    before any lattice is reduced."""
+    pairs = [
+        ([[1, 0], [0, 0]], [[0, 0], [0, 1]]),  # degenerate, det 0
+        ([[0, 1], [1, 0]], [[1, 0], [0, -1]]),  # indefinite, det -1
+    ]
+    for G1, G2 in pairs:
+        lattices._target.cache_clear()
+        with pytest.raises(ValueError, match="definite lattices only"):
+            is_isometric(IntLattice(G1), IntLattice(G2))
+    reductions = []
+    original = lattices.lll_reduce
+
+    def spy(G):
+        reductions.append(G)
+        return original(G)
+
+    monkeypatch.setattr(lattices, "lll_reduce", spy)
+    lattices._target.cache_clear()
+    A2_A1 = standard_lattice("A", 2).direct_sum(IntLattice([[2]]))
+    assert not is_isometric(standard_lattice("A", 3), A2_A1)  # det 4 vs 6
+    assert not is_isometric(IntLattice([[1, 0], [0, 0]]), IntLattice([[2]]))
+    assert not is_isometric(IntLattice([[0, 1], [1, 0]]), IntLattice([[1, 0], [0, 1]]))
+    assert reductions == []
 
 
 def test_is_isometric_randomized_conjugates():
