@@ -23,15 +23,15 @@ tripod relation h_m1 + X h_m2 + X² h_m3 = 0 and the form is the tripod
 form; `trivalent_invariants` is that path and the one trivalent analysis.
 It also reads the fiber types and checks the rank identities of (k, t, g)
 and the law det S = det T · |MW|², S the fiber root lattice; the law has
-not been derived for labelled fibers.  On that path the radical is spanned
-by the fundamental cycles of the regions whose monodromy fixes a vector
-(`cycle_radical_and_quotient`), and no kernel of the Gram matrix is
-taken; checks prove the span is the whole radical.  On labelled input
-the cycles need not span it, so the radical is the kernel of the Gram
-matrix (`transcendental_lattice`), and `kernel_cycles_span_radical`
-reports whether the cycles span it up to finite index.  The region
-cohomology reads the same lifts through the region walk
-`skeletons.region_steps`.
+not been derived for labelled fibers.
+
+`transcendental_lattice` takes the radical on every skeleton from the
+fundamental cycles of the regions whose monodromy fixes a vector, and
+checks that they span it.  On trivalent input they do (the paper's main
+theorem), so a failed check raises and no kernel of the Gram matrix is
+taken; on labelled input they need not, and the radical is then the
+kernel of the Gram matrix.  The region cohomology reads the same lifts
+through the region walk `skeletons.region_steps`.
 
 Forms are kept as integer matrices scaled by 2 lcm(valencies) (6 on
 trivalent input); `lattices.restrict` checks their restriction is integral.
@@ -39,7 +39,6 @@ trivalent input); `lattices.restrict` checks their restriction is integral.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -50,19 +49,20 @@ from .exact import (
     AbelianInvariants,
     cokernel_invariants,
     column_lattice_hnf,
+    integer_kernel,
     kernel_and_cokernel,
     kernel_coordinates,
+    shape,
     sparse_cokernel,
     sparse_transpose,
 )
 from .generalized import kernel_cycles
-from .lattices import IntLattice, quotient_by, radical_and_quotient, restrict
+from .lattices import IntLattice, quotient_by, restrict
 from .skeletons import (
     X,
     Y,
     fiber_types,
     genus,
-    gl2_apply,
     gl2_mul,
     region_steps,
 )
@@ -159,12 +159,6 @@ def h_gamma(lsk):
     return HGamma(D, K, gram, coker.torsion)
 
 
-def transcendental_lattice(hg):
-    """(radical basis columns, quotient T) of H_Gamma's Gram matrix, the
-    radical taken as the kernel of the Gram matrix."""
-    return radical_and_quotient(IntLattice(hg.gram))
-
-
 def mordell_weil(hg):
     """Torsion of the cokernel of the relation matrix D, by two routes: the
     elimination of D in `h_gamma` and a separate one of its transpose."""
@@ -175,16 +169,21 @@ def mordell_weil(hg):
 
 
 def _edge_values(lsk, cycles):
-    """The sparse edge values of end-coordinate cycles; an edge's value is
-    its smaller end's."""
-    edge_of = {a: e for e, (a, _) in enumerate(lsk.edges)}
+    """The sparse edge values of end-coordinate cycles, an edge's value its
+    smaller end's; raises unless the larger end carries its lift."""
+    edge_at = [None] * lsk.n_ends  # (2e, 2a, 2b, lift onto b) for e = (a, b)
+    for e, (a, b) in enumerate(lsk.edges):
+        edge_at[a] = edge_at[b] = (2 * e, 2 * a, 2 * b, lsk.lifts[b])
     out = []
     for c in cycles:
         u = {}
-        for i in compress(range(len(c)), c):
-            a, t = divmod(i, 2)
-            if a in edge_of:
-                u[2 * edge_of[a] + t] = c[i]
+        # an edge with both ends zero satisfies its relation
+        touched = {edge_at[i // 2] for i in compress(range(len(c)), c)}
+        for j, a, b, ((p, q), (r, s)) in touched:
+            x, y = c[a], c[a + 1]
+            if p * x + q * y != c[b] or r * x + s * y != c[b + 1]:
+                raise AssertionError("cycle does not satisfy the relations")
+            u[j], u[j + 1] = x, y
         out.append(u)
     return out
 
@@ -198,63 +197,40 @@ def _in_radical(G, x):
     return not any(acc)
 
 
-def cycle_radical_and_quotient(lsk, hg):
-    """(radical basis columns, quotient T) of H_Gamma's Gram matrix, the
-    radical spanned by the region cycles of `kernel_cycles`.
+def transcendental_lattice(lsk, hg):
+    """(T, spans): H_Gamma's Gram matrix modulo its radical, and whether the
+    region cycles of `kernel_cycles` span the radical up to finite index.
 
-    The basis is the canonical column HNF of the cycles' kernel
-    coordinates, as `integer_kernel` would give it.  Three checks prove
-    that the span is the whole radical: each cycle lies in it, the span
-    is saturated, and the quotient is nondegenerate (`quotient_by`).
-    Without cycles the Gram matrix itself must be nondegenerate.
+    The cycles must satisfy the relations.  When three checks prove that
+    they span the whole radical (each lies in it, the span is saturated,
+    the quotient is nondegenerate; without cycles, the Gram matrix is), the
+    radical's basis is the column HNF of their kernel coordinates, which
+    `integer_kernel` would give.  A failed check raises on a trivalent
+    all-Y skeleton; on any other, the radical is the Gram matrix's kernel,
+    and spans says whether each cycle lies in it and they have its rank.
     """
+    try:
+        coords = kernel_coordinates(hg.kernel, _edge_values(lsk, kernel_cycles(lsk)))
+    except ValueError:
+        raise AssertionError("cycle does not satisfy the relations") from None
     G = hg.gram
-    coords = kernel_coordinates(hg.kernel, _edge_values(lsk, kernel_cycles(lsk)))
-    if not all(_in_radical(G, x) for x in coords):
-        raise AssertionError("a region cycle is not in the radical")
-    d = len(G)
-    radical = column_lattice_hnf([[x.get(j, 0) for x in coords] for j in range(d)])
-    if radical:
-        return radical, quotient_by(G, radical)
-    T = IntLattice(G)
-    if T.det() == 0:
-        raise AssertionError("the form is degenerate, but no region cycle is")
-    return [[] for _ in range(d)], T
-
-
-def kernel_cycles_span_radical(lsk, hg, radical):
-    """The invariant-vector region cycles span the radical over Q: their
-    saturation is the radical.
-
-    `radical` is the basis that `transcendental_lattice(hg)` returned.
-    The cycles must satisfy the relations; they then span the radical up
-    to finite index exactly when each lies in it and their kernel
-    coordinates have its rank, read off the free rank of their cokernel.
-    """
-    cycles = kernel_cycles(lsk)
-    values = _edge_values(lsk, cycles)
-    columns = defaultdict(list)  # D by columns: D u sums over u's nonzeros
-    for i, row in enumerate(hg.relations):
-        for j, v in row.items():
-            columns[j].append((i, v))
-    for c, u in zip(cycles, values):
-        # an edge with both ends zero satisfies its relation
-        ends = {i // 2 for i in compress(range(len(c)), c)}
-        edges = {(a, lsk.op[a]) if a < lsk.op[a] else (lsk.op[a], a) for a in ends}
-        Du = defaultdict(int)
-        for j, y in u.items():
-            for i, v in columns[j]:
-                Du[i] += v * y
-        bad_edge = any(gl2_apply(lsk.lifts[b], (c[2 * a], c[2 * a + 1]))
-                       != (c[2 * b], c[2 * b + 1]) for a, b in edges)
-        if bad_edge or any(Du.values()):
-            raise AssertionError("cycle does not satisfy the relations")
-    coords = kernel_coordinates(hg.kernel, values)
-    if not all(_in_radical(hg.gram, x) for x in coords):
-        return False
-    d = len(hg.gram)
-    rank = d - sparse_cokernel(coords, d).free_rank
-    return rank == (len(radical[0]) if radical else 0)
+    in_radical = all(_in_radical(G, x) for x in coords)
+    radical = column_lattice_hnf([[x.get(j, 0) for x in coords] for j in range(len(G))])
+    try:
+        if not in_radical:
+            raise AssertionError("a region cycle is not in the radical")
+        if radical:
+            return quotient_by(G, radical), True
+        T = IntLattice(G)
+        if T.det() == 0:
+            raise AssertionError("the form is degenerate, but no region cycle is")
+        return T, True
+    except AssertionError:
+        if all(len(v) == 3 for v in lsk.vertices) and set(lsk.labels) <= {Y}:
+            raise
+    K = integer_kernel(G)
+    T = quotient_by(G, K) if shape(K)[1] else IntLattice(G)
+    return T, in_radical and shape(K)[1] == shape(radical)[1]
 
 
 def region_cohomology(lsk, region):
@@ -354,7 +330,7 @@ def trivalent_invariants(lsk):
     (Shioda and Nikulin's lattice extensions).
     """
     hg = h_gamma(lsk)
-    _, T = cycle_radical_and_quotient(lsk, hg)
+    T, _ = transcendental_lattice(lsk, hg)
     if T.rank and not T.is_positive_definite():
         raise AssertionError("transcendental lattice is not positive definite")
     mw = mordell_weil(hg)

@@ -194,21 +194,6 @@ def standard_lattice(name, n):
     raise ValueError(f"unknown lattice family {name!r}")
 
 
-def radical_and_quotient(L):
-    """Split L as radical + complement; returns (radical basis cols, quotient).
-
-    The quotient Gram is the form restricted to a saturated complement of
-    the radical, hence nondegenerate.  A nondegenerate L is returned at
-    once, as its own quotient.
-    """
-    n = L.rank
-    if L.det():
-        return [[] for _ in range(n)], L
-    G = L.gram_rows()
-    K = integer_kernel(G)
-    return K, quotient_by(G, K)
-
-
 def quotient_by(G, K):
     """The form G restricted to a complement of the span of the columns of
     K, which must be saturated and leave a nondegenerate quotient.

@@ -13,7 +13,7 @@ import pytest
 
 from ellskel import generalized, homology
 from ellskel.exact import cokernel_invariants, integer_kernel, mat_mul
-from ellskel.lattices import is_isometric, standard_lattice
+from ellskel.lattices import IntLattice, is_isometric, standard_lattice
 from ellskel.pseudotrees import (
     SERIES,
     contract,
@@ -32,6 +32,7 @@ from test_homology import (
     discriminant,
     expansion,
     h_gamma_marked,
+    radical_and_quotient,
     rank,
     through_expansion,
     tripod_relations,
@@ -106,8 +107,9 @@ def pool_results(pool):
         # vertex relations left once the edge relations are solved
         res["row_rank"] &= rank(tripod_relations(lsk)) == 10 * k
         res["row_rank"] &= rank(dense((hg.relations, sk.n_ends))) == 4 * k
-        radical, _ = homology.transcendental_lattice(hg)
-        res["radical"] &= homology.kernel_cycles_span_radical(lsk, hg, radical)
+        # the cycles span the radical, and the quotient is the Gram kernel's
+        T, spans = homology.transcendental_lattice(lsk, hg)
+        res["radical"] &= spans and T == radical_and_quotient(IntLattice(gram))[1]
         cohom_div, disc_div = [], []
         for reg, ft in types.items():
             cohom_div.extend(homology.region_cohomology(lsk, reg).torsion)

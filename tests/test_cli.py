@@ -20,7 +20,7 @@ from ellskel import (
     skelfile,
     skeletons,
 )
-from ellskel.cli import MAX_TREE_SIZE, main, orientation_sweep
+from ellskel.cli import MAX_SWEEP_CLASSES, MAX_TREE_SIZE, main, orientation_sweep
 from ellskel.generalized import from_skeleton, insert_E_fiber
 from ellskel.pseudotrees import (
     SERIES,
@@ -47,6 +47,8 @@ from test_skeletons import (
     random_skeleton,
     reorient,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 K1_TEXT = """\
 ends: 6
@@ -379,6 +381,21 @@ def test_analyze_chain_k128(tmp_path, capsys):
 
 
 @pytest.mark.slow
+def test_analyze_random_128_e8(tmp_path, capsys):
+    """A random 128-vertex skeleton with one E8 fiber spliced in, end to
+    end, byte for byte; its region cycles prove the radical."""
+    rng = random.Random(128)
+    sk = random_skeleton(rng, 128)
+    o = Orientation(tuple(rng.choice(e) for e in sk.edges))
+    f = tmp_path / "random128-e8.skel"
+    f.write_text(skelfile.format_labelled(insert_E_fiber(from_skeleton(sk, o), 0, "E8", 0)))
+    code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6774a9b9f1a56aabc751351cae32aac60ec4aa00d7f2aa55215ec4425f4dcee0")
+
+
+@pytest.mark.slow
 def test_analyze_chain_k256(tmp_path, capsys):
     """The k = 256 chain tree, end to end, byte for byte; no time bound."""
     code, out, err = run_cli(capsys, "analyze", str(chain_file(tmp_path, 256)), "--json")
@@ -488,6 +505,28 @@ def test_orientation_sweep_matches_brute_force():
             assert all(a < b for a, b in zip(keys, keys[1:]))
             assert len(keys) == 2 ** (len(sk.edges) - len(sk.vertices) + 1)
     assert loops and multi
+
+
+def test_orientation_sweep_ceiling(tmp_path, capsys, monkeypatch):
+    """A sweep over more than MAX_SWEEP_CLASSES = 2^12 classes exits 3
+    before any analysis: 24 and 40 vertices give 2^13 and 2^21 classes,
+    while 22 vertices give 2^12 (the sweep itself is stubbed out)."""
+    assert MAX_SWEEP_CLASSES == 2 ** 12
+    monkeypatch.setattr(cli, "orientation_sweep", lambda sk: [])
+    calls = count_calls(monkeypatch, homology, "trivalent_invariants")
+    rng = random.Random(40)
+    for n_vertices, refused in ((22, False), (24, True), (40, True)):
+        calls.clear()
+        sk = random_skeleton(rng, n_vertices)
+        f = tmp_path / f"sk{n_vertices}.skel"
+        f.write_text(skelfile.format_skeleton(sk, default_orientation(sk)))
+        code, out, err = run_cli(capsys, "analyze", str(f), "--orientation-sweep")
+        if refused:
+            assert (code, out, calls) == (3, "", [])
+            assert err == (f"error: --orientation-sweep has 2^{n_vertices // 2 + 1}"
+                           " classes, more than 4096\n")
+        else:
+            assert code == 0 and len(calls) == 1, err
 
 
 def test_orientation_sweep_k4(tmp_path, capsys):
@@ -836,28 +875,36 @@ def test_one_short_vector_enumeration_per_series_level(capsys, monkeypatch):
 
 
 def test_one_kernel_per_labelled_analysis(tmp_path, capsys, monkeypatch):
+    """A labelled analysis builds H_Gamma once, from one elimination of D,
+    and takes no kernel of its Gram matrix when the region cycles prove the
+    radical (an E8 splice), and one when they do not (the two golden
+    files whose cycles fall short of the radical or do not saturate it)."""
     sk, leaves = tree_to_skeleton(enumerate_marked_trees(3)[0])
     o = orientation_for_series(sk, leaves, "th1.2")
-    lsk = insert_E_fiber(from_skeleton(sk, o), 2, "E8", 0)
     f = tmp_path / "e8.skel"
-    f.write_text(skelfile.format_labelled(lsk))
-    gram = homology.h_gamma(lsk).gram
-    h_calls = count_calls(monkeypatch, homology, "h_gamma")
-    relation_calls = count_calls(monkeypatch, homology, "relation_matrix")
-    kernel_calls = count_calls(
-        monkeypatch, homology, "kernel_and_cokernel",
-        lambda rows, n: n == 2 * len(lsk.edges),
-    )
-    # the radical: one kernel of the Gram, from either module
-    gram_calls = [count_calls(monkeypatch, module, "integer_kernel",
-                              lambda M: M == gram)
-                  for module in (homology, lattices)
-                  if hasattr(module, "integer_kernel")]
-    code, out, err = run_cli(capsys, "analyze", str(f), "--json")
-    assert code == 0, err
-    assert json.loads(out)["kernel_cycles_span_radical"] is True
-    assert (len(h_calls), len(relation_calls), len(kernel_calls)) == (1, 1, 1)
-    assert sum(map(len, gram_calls)) == 1
+    f.write_text(skelfile.format_labelled(insert_E_fiber(from_skeleton(sk, o), 2, "E8", 0)))
+    cases = [(f, 0, True), (GOLDEN / "labelled_cycles_short.skel", 1, False),
+             (GOLDEN / "labelled_cycles_unsaturated.skel", 1, True)]
+    for f, n_gram_kernels, spans in cases:
+        lsk = skelfile.parse(f.read_text())
+        gram = homology.h_gamma(lsk).gram
+        h_calls = count_calls(monkeypatch, homology, "h_gamma")
+        relation_calls = count_calls(monkeypatch, homology, "relation_matrix")
+        kernel_calls = count_calls(
+            monkeypatch, homology, "kernel_and_cokernel",
+            lambda rows, n, lsk=lsk: n == 2 * len(lsk.edges),
+        )
+        # the radical's kernels of the Gram, from either module
+        gram_calls = [count_calls(monkeypatch, module, "integer_kernel",
+                                  lambda M, gram=gram: M == gram)
+                      for module in (homology, lattices)
+                      if hasattr(module, "integer_kernel")]
+        code, out, err = run_cli(capsys, "analyze", str(f), "--json")
+        monkeypatch.undo()
+        assert code == 0, err
+        assert json.loads(out)["kernel_cycles_span_radical"] is spans
+        assert (len(h_calls), len(relation_calls), len(kernel_calls)) == (1, 1, 1)
+        assert sum(map(len, gram_calls)) == n_gram_kernels
 
 
 def test_no_gram_kernel_on_trivalent_paths(tmp_path, capsys, monkeypatch):

@@ -13,12 +13,7 @@ from ellskel.generalized import (
     invariant_vector,
     parabolic_conjugator,
 )
-from ellskel.homology import (
-    h_gamma,
-    kernel_cycles_span_radical,
-    mordell_weil,
-    transcendental_lattice,
-)
+from ellskel.homology import h_gamma, mordell_weil, transcendental_lattice
 from ellskel.pseudotrees import (
     enumerate_marked_trees,
     orientation_for_series,
@@ -48,8 +43,8 @@ def all_A_base(k):
 def invariants(lsk):
     """(T, MW, region cycles saturate to the radical) from one h_gamma."""
     hg = h_gamma(lsk)
-    radical, T = transcendental_lattice(hg)
-    return T, mordell_weil(hg), kernel_cycles_span_radical(lsk, hg, radical)
+    T, spans = transcendental_lattice(lsk, hg)
+    return T, mordell_weil(hg), spans
 
 
 def test_reduction_to_trivalent_engine():

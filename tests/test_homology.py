@@ -7,7 +7,7 @@ from itertools import chain
 from pathlib import Path
 
 import ellskel
-from ellskel import homology
+from ellskel import homology, skelfile
 from ellskel.exact import (
     AbelianInvariants,
     cokernel_invariants,
@@ -28,15 +28,13 @@ from ellskel.generalized import (
     kernel_cycles,
 )
 from ellskel.homology import (
-    cycle_radical_and_quotient,
     h_gamma,
-    kernel_cycles_span_radical,
     mordell_weil,
     region_cohomology,
     transcendental_lattice,
     trivalent_invariants,
 )
-from ellskel.lattices import IntLattice, is_isometric, radical_and_quotient
+from ellskel.lattices import IntLattice, is_isometric, quotient_by
 from ellskel.pseudotrees import (
     SERIES,
     enumerate_marked_trees,
@@ -64,6 +62,8 @@ from test_skeletons import (
     reorient,
     root_lattice,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def dense(matrix):
@@ -310,6 +310,16 @@ class DiscriminantForm:
         return self.invariants.order
 
 
+def radical_and_quotient(L):
+    """Oracle: (radical basis columns, quotient) of L, the radical the kernel
+    of the Gram matrix; a nondegenerate L is its own quotient."""
+    if L.det():
+        return [[] for _ in range(L.rank)], L
+    G = L.gram_rows()
+    K = integer_kernel(G)
+    return K, quotient_by(G, K)
+
+
 def discriminant(L):
     """Discriminant group and form of L (computed on L modulo its radical)."""
     _, Lq = radical_and_quotient(L)
@@ -378,12 +388,13 @@ def test_h_gamma_rank_2k():
 def test_k1_h_gamma_zero_form():
     sk = PSEUDOTREE_K1
     o = k1_all_A_orientation()
-    hg = hg_of(sk, o)
+    lsk = from_skeleton(sk, o)
+    hg = h_gamma(lsk)
     assert len(hg.kernel[0]) == 2
     assert all(x == 0 for row in hg.gram for x in row)
-    radical, T = transcendental_lattice(hg)
-    assert T.rank == 0
-    assert len(radical[0]) == 2
+    T, spans = transcendental_lattice(lsk, hg)
+    assert T.rank == 0 and spans
+    assert len(radical_and_quotient(IntLattice(hg.gram))[0][0]) == 2
 
 
 def test_marked_vs_unmarked_form():
@@ -424,8 +435,7 @@ def test_kernel_cycles_k1():
     lsk = from_skeleton(sk, o)
     cycles = kernel_cycles(lsk)
     assert len(cycles) == 2
-    hg = h_gamma(lsk)
-    assert kernel_cycles_span_radical(lsk, hg, transcendental_lattice(hg)[0])
+    assert transcendental_lattice(lsk, h_gamma(lsk))[1]
 
 
 def test_kernel_cycles_randomized():
@@ -433,8 +443,7 @@ def test_kernel_cycles_randomized():
     for _ in range(25):
         sk = random_skeleton(rng, rng.choice([2, 4]))
         lsk = from_skeleton(sk, default_orientation(sk))
-        hg = h_gamma(lsk)
-        assert kernel_cycles_span_radical(lsk, hg, transcendental_lattice(hg)[0])
+        assert transcendental_lattice(lsk, h_gamma(lsk))[1]
 
 
 def _route_cases():
@@ -456,16 +465,50 @@ def _route_cases():
             yield from_skeleton(sk, o)
 
 
-def test_cycle_radical_matches_gram_kernel():
-    """On trivalent input the region cycles give the radical and the
-    quotient T that the kernel of the Gram matrix gives, basis for basis."""
+def route_spy(monkeypatch):
+    """A `transcendental_lattice(lsk, hg)` that also returns the radical basis
+    it passed to `quotient_by` last (None if none) and its route: "cycles"
+    when the region cycles proved the radical, "gram" when it fell back to
+    the kernel of the Gram matrix."""
+    calls = []
+    for name in ("integer_kernel", "quotient_by"):
+
+        def spy(*args, name=name, original=getattr(homology, name)):
+            calls.append((name, args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(homology, name, spy)
+
+    def run(lsk, hg):
+        calls.clear()
+        T, spans = transcendental_lattice(lsk, hg)
+        radical = next((K for name, K in reversed(calls) if name == "quotient_by"), None)
+        route = "gram" if ("integer_kernel", hg.gram) in calls else "cycles"
+        return T, spans, radical, route
+
+    return run
+
+
+def test_cycle_radical_matches_gram_kernel(monkeypatch):
+    """`transcendental_lattice` gives the radical and the quotient T that the
+    kernel of the Gram matrix gives, basis for basis and byte for byte:
+    from the region cycles alone on trivalent input, and from the cycles
+    or the Gram kernel on labelled input."""
+    run = route_spy(monkeypatch)
     seen = Counter()
-    for lsk in _route_cases():
-        hg = h_gamma(lsk)
-        radical, T = cycle_radical_and_quotient(lsk, hg)
-        assert (radical, T) == radical_and_quotient(IntLattice(hg.gram))
-        seen["cycles" if radical[0] else "none"] += 1
-    assert seen["cycles"] >= 300 and seen["none"] >= 20, seen
+    for kind, cases in (("trivalent", _route_cases()), ("labelled", _labelled_cases())):
+        for lsk in cases:
+            hg = h_gamma(lsk)
+            T, _, radical, route = run(lsk, hg)
+            K, expected = radical_and_quotient(IntLattice(hg.gram))
+            assert T.gram_rows() == expected.gram_rows()
+            assert radical == (K if K[0] else None)
+            seen[kind, route, bool(K[0])] += 1
+    assert seen["trivalent", "cycles", True] >= 300, seen
+    assert seen["trivalent", "cycles", False] >= 20, seen
+    assert seen["labelled", "cycles", True] >= 75, seen
+    assert seen["labelled", "gram", True] >= 1, seen
+    assert not seen["trivalent", "gram", True] + seen["trivalent", "gram", False], seen
 
 
 def dense_quotient(G, K):
@@ -480,7 +523,8 @@ def dense_quotient(G, K):
 
 def _labelled_cases():
     """Labelled skeletons: random ones with up to three random det-1
-    labels, and series trees with one spliced fiber of each kind."""
+    labels, series trees with one spliced fiber of each kind, and the two
+    golden files whose region cycles do not prove the radical."""
     rng = random.Random(89)
     generators = (X, ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((-1, 0), (0, -1)))
     for _ in range(120):
@@ -499,24 +543,25 @@ def _labelled_cases():
             lsk = from_skeleton(sk, orientation_for_series(sk, leaves, series))
             kind, variant = rng.choice(kinds)
             yield insert_E_fiber(lsk, rng.randrange(len(lsk.edges)), kind, variant)
+    for name in ("labelled_cycles_short", "labelled_cycles_unsaturated"):
+        yield skelfile.parse((GOLDEN / f"{name}.skel").read_text())
 
 
-def test_quotient_by_matches_dense_route():
+def test_quotient_by_matches_dense_route(monkeypatch):
     """`quotient_by`, whose complement comes from the sparse Smith replay,
     gives the Gram matrix of the dense route, byte for byte, on the
-    trivalent cycle radicals and on the labelled Gram radicals."""
+    trivalent cycle radicals and on the labelled radicals of both routes."""
+    run = route_spy(monkeypatch)
     seen = Counter()
-    for route, cases in (("cycles", _route_cases()), ("labelled", _labelled_cases())):
+    for kind, cases in (("trivalent", _route_cases()), ("labelled", _labelled_cases())):
         for lsk in cases:
             hg = h_gamma(lsk)
-            if route == "cycles":
-                radical, T = cycle_radical_and_quotient(lsk, hg)
-            else:
-                radical, T = transcendental_lattice(hg)
-            if radical[0]:
+            T, _, radical, route = run(lsk, hg)
+            if radical:
                 assert T.gram_rows() == dense_quotient(hg.gram, radical)
-                seen[route] += 1
-    assert seen["cycles"] >= 300 and seen["labelled"] >= 75, seen
+                seen[kind, route] += 1
+    assert seen["trivalent", "cycles"] >= 300 and seen["labelled", "cycles"] >= 75, seen
+    assert seen["labelled", "gram"] >= 1 and not seen["trivalent", "gram"], seen
 
 
 def _saturation(C):
@@ -528,14 +573,17 @@ def _saturation(C):
     return integer_kernel(transpose(N))
 
 
-def test_span_check_matches_saturation():
-    """`kernel_cycles_span_radical` on labelled input against its
+def test_span_check_matches_saturation(monkeypatch):
+    """`transcendental_lattice`'s spans on labelled input against its
     definition: the saturation of the cycles' edge values is the radical,
-    mapped to edge values.  Random skeletons with up to three random
-    det-1 labels reach both answers."""
+    mapped to edge values; and its T against the Gram kernel's.  Random
+    skeletons with up to three random det-1 labels reach both answers and
+    both routes."""
     rng = random.Random(73)
     generators = (X, ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((-1, 0), (0, -1)))
+    run = route_spy(monkeypatch)
     seen = Counter()
+    routes = Counter()
     for _ in range(250):
         sk = random_skeleton(rng, rng.choice([2, 4]))
         heads = tuple(rng.choice(e) for e in sk.edges)
@@ -545,9 +593,10 @@ def test_span_check_matches_saturation():
                 *[rng.choice(generators) for _ in range(rng.randint(1, 4))])
         lsk = LabelledSkeleton(sk.n_ends, sk.op, sk.nx, heads, labels)
         hg = h_gamma(lsk)
-        radical, _ = transcendental_lattice(hg)
+        radical, expected_T = radical_and_quotient(IntLattice(hg.gram))
         cycles = kernel_cycles(lsk)
-        got = kernel_cycles_span_radical(lsk, hg, radical)
+        T, got, _, route = run(lsk, hg)
+        assert T.gram_rows() == expected_T.gram_rows()
         if cycles:
             U = transpose([[x for a, _ in lsk.edges for x in c[2 * a:2 * a + 2]]
                            for c in cycles])
@@ -557,25 +606,31 @@ def test_span_check_matches_saturation():
             expected = not radical[0]
         assert got == bool(expected)
         seen[got, bool(cycles)] += 1
+        routes[route, got] += 1
     assert seen[True, True] and seen[False, True] and seen[True, False], seen
+    assert routes["cycles", True] >= 200, routes
+    assert routes["gram", True] and routes["gram", False], routes
 
 
 def test_span_check_field_meaning(monkeypatch):
-    """`kernel_cycles_span_radical` is true when the cycles span the
-    radical up to finite index, and false when one of them is off it."""
+    """On labelled input `transcendental_lattice`'s spans is true when the
+    cycles span the radical up to finite index, and false when one of them
+    is off it; both mutations leave the cycles' span unproven, so the
+    radical is then the Gram kernel's and T does not change."""
     sk, leaves = tree_to_skeleton(enumerate_marked_trees(3)[0])
     lsk = insert_E_fiber(from_skeleton(sk, orientation_for_series(sk, leaves, "th1.2")),
                          2, "E8", 0)
     hg = h_gamma(lsk)
-    radical, _ = transcendental_lattice(hg)
-    assert radical[0] and kernel_cycles_span_radical(lsk, hg, radical)
     coordinates = homology.kernel_coordinates
+    run = route_spy(monkeypatch)
+    T, spans, radical, route = run(lsk, hg)
+    assert radical and spans and route == "cycles"
     off = next({j: 1} for j, row in enumerate(hg.gram) if any(row))
     doubled = (lambda xs: [{j: 2 * y for j, y in xs[0].items()}] + xs[1:], True)
     for mutate, expected in (doubled, (lambda xs: [off] + xs[1:], False)):
         monkeypatch.setattr(homology, "kernel_coordinates",
                             lambda K, vs, mutate=mutate: mutate(coordinates(K, vs)))
-        assert kernel_cycles_span_radical(lsk, hg, radical) is expected
+        assert run(lsk, hg) == (T, expected, radical, "gram")
 
 
 def test_region_cohomology_types():

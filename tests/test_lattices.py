@@ -13,13 +13,12 @@ from ellskel.lattices import (
     congruence_sublattice,
     is_isometric,
     orthogonal_complement,
-    radical_and_quotient,
     restrict,
     short_vectors,
 )
 
 from test_exact import bareiss, dense_integer_kernel, det
-from test_homology import discriminant, rank
+from test_homology import discriminant, radical_and_quotient, rank
 
 
 def standard_lattice(name, n):
