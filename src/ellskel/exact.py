@@ -56,9 +56,6 @@ class AbelianInvariants:
         """Group order, or None when the free rank is positive."""
         return None if self.free_rank else prod(self.torsion)
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
 
 # ---------------------------------------------------------------------------
 # basic dense-matrix helpers

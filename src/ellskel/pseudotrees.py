@@ -10,8 +10,9 @@ packages the four closed-form series (expected lattices, orientations,
 braid words, abelianized fundamental groups).
 
 `series_trees` is the one loop over the marked trees of a series, for
-`verify_series` and `ellskel enumerate`.  `enumerate_marked_trees` stays
-a list because the benchmark's tracer counts a run's trees by its length.
+`verify_series` and `ellskel enumerate`, and can analyse one tree per
+`surface_key`.  `enumerate_marked_trees` stays a list because the
+benchmark's tracer counts a run's trees by its length.
 
 Binary trees are nested pairs: a node is (left, right) where each slot is
 another node or None (a missing branch, i.e. a leaf of the admissible
@@ -246,18 +247,55 @@ def _series_orientation(sk, ordered, series):
     return Orientation(heads)
 
 
-def series_trees(k, series):
+def surface_key(tree, series):
+    """Two marked trees of the series with one key are one surface Γ_X, up
+    to renumbering the ends and flipping vertices.  The key is a preorder
+    word (a node 1, a leaf 0; a node's children in cyclic order after the
+    edge it is entered by, as `tree_to_skeleton` lays them out).  On th1.1
+    and th1.2 it is the smallest word over the rootings at the k+1 leaves:
+    a re-rooted tree is the same ribbon graph with its ends renumbered,
+    `stable_loop_orientation` heads the same loops, and tree edges are
+    bridges, whose heads only move within the flip class.  On the D5 series
+    the reversed loop sits at the leaf before the marked one, so the key is
+    the tree's own word."""
+    nbrs = [[]]  # neighbours in cyclic order; vertex 0 is the marked leaf
+
+    def add(node, parent):
+        v = len(nbrs)
+        nbrs[parent].append(v)
+        nbrs.append([parent])
+        for child in node or ():
+            add(child, v)
+
+    def word(v, entry):
+        n, i = nbrs[v], nbrs[v].index(entry)
+        return "0" if len(n) == 1 else "1" + word(n[i - 2], v) + word(n[i - 1], v)
+
+    add(tree, 0)
+    if series_has_D5(series):
+        return word(1, 0)
+    return min(word(n[0], leaf) for leaf, n in enumerate(nbrs) if len(n) == 1)
+
+
+def series_trees(k, series, shared=False):
     """Every marked tree with k loops, oriented for the series, in order.
 
-    Yields (index, skeleton, orientation, leaf distances m_1..m_{k+1},
-    `homology.trivalent_invariants` result).  Each tree's skeleton is
-    built once and its outer region walked once.
+    Yields (index, first, skeleton, orientation, leaf distances m_1..m_{k+1},
+    `homology.trivalent_invariants` result), each skeleton built and its
+    outer region walked once.  With `shared`, a tree repeating the
+    `surface_key` of tree `first` < index is not built: it yields four Nones.
     """
+    firsts = {}
     for idx, tree in enumerate(enumerate_marked_trees(k)):
+        first = firsts.setdefault(surface_key(tree, series), idx) if shared else idx
+        if first != idx:
+            yield idx, first, None, None, None, None
+            continue
         sk, leaves = tree_to_skeleton(tree)
         ordered, dists = leaf_order(sk, leaves)
         o = _series_orientation(sk, ordered, series)
-        yield idx, sk, o, dists, homology.trivalent_invariants(from_skeleton(sk, o))
+        inv = homology.trivalent_invariants(from_skeleton(sk, o))
+        yield idx, first, sk, o, dists, inv
 
 
 def expected_lattice(series, s):
@@ -314,18 +352,19 @@ def verify_series(series, s):
     The lattice must match the closed form in every case.  The section
     group, whose order `trivalent_invariants` ties to the determinants by
     det S = det T · |MW|² (S the fiber root lattice), must be trivial
-    except at s=1.
+    except at s=1.  The trees of one `surface_key` share its first's row.
     """
     k = series_k(series, s)
     expect = expected_lattice(series, s)
     results = []
-    for idx, _, _, _, inv in series_trees(k, series):
-        names = sorted(ft.name for ft in inv.fibers[0].values())
-        if names != expected_fiber_names(series, s):
-            raise AssertionError(f"{series} s={s} tree {idx}: fibers {names}")
-        lattice_ok = is_isometric(inv.T, expect)
-        mw_ok = inv.mw.order == 1 or s == 1
-        results.append((idx, lattice_ok, inv.mw, mw_ok))
+    rows = {}  # (lattice_ok, mw, mw_ok) of each analysed tree
+    for idx, first, _, _, _, inv in series_trees(k, series, shared=True):
+        if first == idx:
+            names = sorted(ft.name for ft in inv.fibers[0].values())
+            if names != expected_fiber_names(series, s):
+                raise AssertionError(f"{series} s={s} tree {idx}: fibers {names}")
+            rows[idx] = is_isometric(inv.T, expect), inv.mw, inv.mw.order == 1 or s == 1
+        results.append((idx, *rows[first]))
     return SeriesReport(series, s, tuple(results))
 
 

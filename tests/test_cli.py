@@ -436,6 +436,29 @@ def test_enumerate_8(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_enumerate_7_json(capsys):
+    """All 132 trees with 7 loops, byte for byte: odd K takes th1.2."""
+    code, out, err = run_cli(capsys, "enumerate", "7", "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "47f51d995f7eac5bcf4ae3420302a0a0d6f80d21e7ecf1dd144f20e56813d593")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv,digest", [
+    (("enumerate", "9", "--dedup", "--json"),
+     "2e197f3dd42c13f6adf30f64163ece6acf700fa04fe1391771daff81e4a3ed91"),
+    (("verify-series", "all", "--s-max", "4", "--json"),
+     "ea405ebec5384a3cafc5bb6ee8ad600f2b7cd133f9d7ec2af8280948fc2e4a0c"),
+])
+def test_shared_analysis_pins(capsys, argv, digest):
+    """The commands that share one analysis per surface, byte for byte:
+    1,430 th1.2 trees, and every series up to s = 4."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/path.skel")
     assert code == 2
@@ -665,7 +688,7 @@ def test_verify_series_det_remainder_exit_4(tmp_path, capsys, monkeypatch):
 
     def torsion_2_if_trivial(hg):
         mw = mordell_weil(hg)
-        return exact.AbelianInvariants(0, (2,)) if mw.is_trivial() else mw
+        return exact.AbelianInvariants(0, (2,)) if mw.order == 1 else mw
 
     # the first mutant takes D_(n+4) for A_(n-1)
     mutants = ((skeletons.FiberType, "root_det", property(lambda ft: ft.n_gon)),
@@ -702,25 +725,40 @@ def test_enumerate_dedup(capsys):
 
 
 def test_enumerate_dedup_keeps_class_representatives(capsys, monkeypatch):
-    """`enumerate --dedup` formats no record, and tests each tree against
-    the T of each class representative only."""
+    """`enumerate --dedup` formats no record, analyses the first tree of
+    each surface only, and tests it against the T of each class
+    representative only."""
     formats = count_calls(monkeypatch, skelfile, "format_skeleton")
     tests = count_calls(monkeypatch, cli, "is_isometric")
-    lattices_of = []
+    lattices_of = {}  # tree index -> T, for the analysed trees
+    keys = {}
+    for idx, tree in enumerate(enumerate_marked_trees(6)):
+        keys.setdefault(pseudotrees.surface_key(tree, "th1.1"), idx)
+    analysed = iter(sorted(keys.values()))
     invariants = homology.trivalent_invariants
 
     def keep_T(lsk):
         inv = invariants(lsk)
-        lattices_of.append(inv.T)
+        lattices_of[next(analysed)] = inv.T
         return inv
 
     monkeypatch.setattr(homology, "trivalent_invariants", keep_T)
     code, out, err = run_cli(capsys, "enumerate", "6", "--dedup", "--json")
     assert code == 0, err
-    classes = json.loads(out)["classes"]
-    assert len(lattices_of) == 42 and not formats
-    representatives = {id(lattices_of[c["trees"][0]]) for c in classes}
+    doc = json.loads(out)
+    assert doc["count"] == 42 and len(lattices_of) == 6 and not formats
+    representatives = {id(lattices_of[c["trees"][0]]) for c in doc["classes"]}
     assert tests and all(id(args[1]) in representatives for args in tests)
+
+
+def test_enumerate_8_dedup_one_analysis_per_surface(capsys, monkeypatch):
+    """429 trees with 8 loops are 49 surfaces, all in one class."""
+    tests = count_calls(monkeypatch, cli, "is_isometric")
+    analyses = count_calls(monkeypatch, homology, "trivalent_invariants")
+    code, out, err = run_cli(capsys, "enumerate", "8", "--dedup", "--json")
+    assert code == 0, err
+    assert json.loads(out)["count"] == 429
+    assert len(analyses) == 49 and len(tests) <= 48
 
 
 def test_analyze_parabolic_label_exit_0(tmp_path, capsys):
@@ -765,7 +803,9 @@ def test_one_h_gamma_per_analysis(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1 + len(json.loads(out)["orientation_sweep"])
     calls.clear()
     code, out, _ = run_cli(capsys, "verify-series", "all", "--s-max", "2", "--json")
-    assert code == 0 and len(calls) == len(json.loads(out)["results"]) == 18
+    # one analysis per surface: 13 for 18 trees
+    assert code == 0 and len(json.loads(out)["results"]) == 18
+    assert len(calls) == 13
 
 
 def test_one_fiber_types_per_analysis(tmp_path, capsys, monkeypatch):
@@ -791,14 +831,16 @@ def test_one_fiber_types_per_analysis(tmp_path, capsys, monkeypatch):
         assert calls() == before + 1 + len(json.loads(out)["orientation_sweep"])
     before = calls()
     code, out, _ = run_cli(capsys, "verify-series", "all", "--s-max", "2", "--json")
-    assert code == 0 and calls() - before == len(json.loads(out)["results"]) == 18
+    # one analysis per surface: 13 for 18 trees
+    assert code == 0 and len(json.loads(out)["results"]) == 18
+    assert calls() - before == 13
 
 
 def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
     """An oriented trivalent skeleton becomes its all-Y labelled skeleton
-    once: per analysis, per sweep class, per series tree and per
-    enumerated tree; a series or enumerated tree is built once, and its
-    outer region walked once."""
+    once: per analysis, per sweep class, per series surface and per
+    enumerated tree; a series surface or enumerated tree is built once,
+    and its outer region walked once."""
     bindings = [count_calls(monkeypatch, module, "from_skeleton")
                 for module in (cli, generalized, homology, pseudotrees)
                 if hasattr(module, "from_skeleton")]
@@ -821,7 +863,8 @@ def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
         n, doc = run("analyze", str(f), "--json", "--orientation-sweep")
         assert n == 1 + len(doc["orientation_sweep"])
     n, doc = run("verify-series", "all", "--s-max", "2", "--json")
-    assert n == len(doc["results"]) == len(builds) == len(walks) == 18
+    assert len(doc["results"]) == 18
+    assert n == len(builds) == len(walks) == 13
     n, doc = run("enumerate", "4", "--json")
     assert n == doc["count"] == len(builds) == len(walks) == 5
 
@@ -1040,7 +1083,7 @@ def test_labelled_cycle_mutations_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):
-    """Each trivalent analysis, sweep class and series tree eliminates its
+    """Each trivalent analysis, sweep class and series surface eliminates its
     relation matrix D once (kernel and first cokernel route) and D^t once
     (second route), and is_isometric takes no kernel of its lattices.  D
     has one row pair per vertex and one column pair per edge: 2V x 2E, so
@@ -1104,10 +1147,11 @@ def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):
         assert len(shapes) == 1
         doc = run("analyze", str(f), "--json", "--orientation-sweep")
         assert len(shapes) == 1 + len(doc["orientation_sweep"])
-    run("verify-series", "all", "--s-max", "2", "--json")
-    assert len(shapes) == 18
-    run("enumerate", "4", "--dedup", "--json")
-    assert len(shapes) == 5
+    # one analysis per surface: 13 for 18 series trees, 1 for 5 trees
+    assert len(run("verify-series", "all", "--s-max", "2", "--json")["results"]) == 18
+    assert len(shapes) == 13
+    assert run("enumerate", "4", "--dedup", "--json")["count"] == 5
+    assert len(shapes) == 1
     assert iso_kernels == []
 
 

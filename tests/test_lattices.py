@@ -113,7 +113,7 @@ def test_discriminant_forms():
     d = discriminant(standard_lattice("A", 1))
     assert d.invariants.torsion == (2,)
     assert d.quadratic == (Fraction(1, 2),)
-    assert discriminant(standard_lattice("U", 2)).invariants.is_trivial()
+    assert discriminant(standard_lattice("U", 2)).invariants.order == 1
     d = discriminant(standard_lattice("A", 2))
     assert d.invariants.torsion == (3,)
     assert d.bilinear[0][0] == Fraction(2, 3)

@@ -11,6 +11,7 @@ from ellskel.pseudotrees import (
     braid_words,
     contract,
     enumerate_marked_trees,
+    expected_fiber_names,
     expected_lattice,
     leaf_distances,
     leaf_order,
@@ -21,12 +22,14 @@ from ellskel.pseudotrees import (
     pi1_for_tree,
     q_lattice_and_chi,
     series_k,
+    series_trees,
+    surface_key,
     tree_to_skeleton,
     verify_series,
 )
-from ellskel.skeletons import Orientation, fiber_types, genus
+from ellskel.skeletons import Orientation, Skeleton, fiber_types, genus
 
-from test_skeletons import PSEUDOTREE_K1, root_lattice
+from test_skeletons import PSEUDOTREE_K1, random_skeleton, root_lattice
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -180,6 +183,71 @@ def test_tree_edge_orientation_is_irrelevant():
             inv = homology.trivalent_invariants(from_skeleton(sk, o2))
             assert is_isometric(base.T, inv.T)
             assert inv.mw == base.mw
+
+
+def test_surface_key_counts():
+    """The k+1 markings of a plane tree share a key on th1.1/th1.2; on the
+    D5 series every marked tree is its own surface."""
+    for k, surfaces in ((1, 1), (2, 1), (3, 1), (4, 1), (7, 19), (8, 49)):
+        trees = enumerate_marked_trees(k)
+        assert len({surface_key(t, "th1.1") for t in trees}) == surfaces
+        assert {surface_key(t, "th1.1") for t in trees} == {
+            surface_key(t, "th1.2") for t in trees}
+        assert len({surface_key(t, "th1.3") for t in trees}) == len(trees)
+
+
+def t_mw_fibers(inv):
+    return inv.T, inv.mw, sorted(ft.name for ft in inv.fibers[0].values())
+
+
+def test_shared_rows_match_per_tree_analysis():
+    """`verify_series` analyses one tree per surface.  Here every tree of
+    every series for s <= 3 is analysed on its own: its row must equal the
+    shared row, and the trees of one key must have isometric T, equal MW
+    and the same fiber names."""
+    for series in SERIES:
+        for s in (1, 2, 3):
+            k = series_k(series, s)
+            expect = expected_lattice(series, s)
+            shared = verify_series(series, s).results
+            trees = enumerate_marked_trees(k)
+            firsts = {}
+            for idx, _, _, _, _, inv in series_trees(k, series):
+                T, mw, names = t_mw_fibers(inv)
+                assert names == expected_fiber_names(series, s)
+                row = (idx, bool(is_isometric(T, expect)), mw, mw.order == 1 or s == 1)
+                assert row == shared[idx]
+                key = surface_key(trees[idx], series)
+                if key in firsts:
+                    T1, mw1, names1 = firsts[key]
+                    assert is_isometric(T, T1) and mw == mw1 and names == names1
+                else:
+                    firsts[key] = T, mw, names
+
+
+def test_relabelling_ends_preserves_the_surface():
+    """Renumbering the ends of an oriented skeleton (op, nx and the heads)
+    keeps T up to isometry, MW and the fiber names: the premise of
+    `surface_key`."""
+    rng = random.Random(26)
+    for _ in range(60):
+        sk = random_skeleton(rng, rng.choice([2, 4, 6, 8]))
+        o = Orientation(tuple(rng.choice(e) for e in sk.edges))
+        perm = list(range(sk.n_ends))
+        rng.shuffle(perm)
+        op, nx = [0] * sk.n_ends, [0] * sk.n_ends
+        for e in range(sk.n_ends):
+            op[perm[e]] = perm[sk.op[e]]
+            nx[perm[e]] = perm[sk.nx[e]]
+        sk2 = Skeleton(sk.n_ends, op, nx)
+        sk2.validate()
+        head_of = {frozenset((perm[a], perm[b])): perm[h]
+                   for (a, b), h in zip(sk.edges, o.heads)}
+        o2 = Orientation(tuple(head_of[frozenset(e)] for e in sk2.edges))
+        T, mw, names = t_mw_fibers(homology.trivalent_invariants(from_skeleton(sk, o)))
+        T2, mw2, names2 = t_mw_fibers(
+            homology.trivalent_invariants(from_skeleton(sk2, o2)))
+        assert is_isometric(T, T2) and mw == mw2 and names == names2
 
 
 def test_braid_words_shape():
