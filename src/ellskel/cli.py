@@ -255,8 +255,8 @@ def cmd_enumerate(args, out):
 
 
 # `enumerate 10 --json` takes 12-13 s and 42-43 MB peak RSS, and
-# `enumerate 10 --dedup --json` 86 s (442 of 4,862 trees analysed; 817 s
-# with all) and 24 MB (Python 3.11.7, 2-vCPU host).  Before `--dedup` kept
+# `enumerate 10 --dedup --json` 34 s (228 of 4,862 trees analysed; 817 s
+# with all) and 20 MB (Python 3.11.7, 2-vCPU host).  Before `--dedup` kept
 # only class representatives, `enumerate 12 --json` took 279 s and 437 MB;
 # each step in K costs about 3x the memory and 4-5x the time
 MAX_TREE_SIZE = 12

@@ -11,8 +11,11 @@ braid words, abelianized fundamental groups).
 
 `series_trees` is the one loop over the marked trees of a series, for
 `verify_series` and `ellskel enumerate`, and can analyse one tree per
-`surface_key`.  `enumerate_marked_trees` stays a list because the
-benchmark's tracer counts a run's trees by its length.
+`surface_key`: one per plane tree and its mirror on th1.1 and th1.2, and
+one per D5-rooted tree and its mirror on th1.3 and th1.4, since a surface
+and its complex conjugate share T, MW and the fiber types.
+`enumerate_marked_trees` stays a list because the benchmark's tracer
+counts a run's trees by its length.
 
 Binary trees are nested pairs: a node is (left, right) where each slot is
 another node or None (a missing branch, i.e. a leaf of the admissible
@@ -248,16 +251,30 @@ def _series_orientation(sk, ordered, series):
 
 
 def surface_key(tree, series):
-    """Two marked trees of the series with one key are one surface Γ_X, up
-    to renumbering the ends and flipping vertices.  The key is a preorder
-    word (a node 1, a leaf 0; a node's children in cyclic order after the
-    edge it is entered by, as `tree_to_skeleton` lays them out).  On th1.1
-    and th1.2 it is the smallest word over the rootings at the k+1 leaves:
-    a re-rooted tree is the same ribbon graph with its ends renumbered,
-    `stable_loop_orientation` heads the same loops, and tree edges are
-    bridges, whose heads only move within the flip class.  On the D5 series
-    the reversed loop sits at the leaf before the marked one, so the key is
-    the tree's own word."""
+    """Two marked trees of the series with one key are one surface Γ_X or
+    its complex conjugate, up to renumbering the ends and flipping
+    vertices; both have isometric T, the same MW and the same fibers.
+
+    The key is the smaller of two preorder words (a node 1, a leaf 0): the
+    tree's word, whose node lists its children in cyclic order after the
+    edge it is entered by, as `tree_to_skeleton` lays them out, and the
+    mirror word, which lists them in reverse cyclic order.  On th1.1 and
+    th1.2 the minimum runs over the rootings at the k+1 leaves: a re-rooted
+    tree is the same ribbon graph with its ends renumbered, and
+    `stable_loop_orientation` heads the same loops.  On the D5 series the
+    reversed loop sits at the leaf before the marked one in the boundary
+    walk, which is `leaves[1]` below (the first leaf `add` reaches after
+    the marked leaf 0), so the words are rooted there.
+
+    The mirror word is the mirror skeleton (op, nx⁻¹, every head
+    reversed).  J = [[0, 1], [1, 0]] has det −1, and J X J = X⁻¹,
+    J Y J = Y⁻¹, so h ↦ J h carries each tripod relation
+    h₁ + X h₂ + X² h₃, its ends read in nx⁻¹ order, and each reversed edge
+    relation onto the original ones: the same H_Γ, the same cokernel and
+    the same form up to the sign of S.  A stable loop of the mirror is
+    headed at the original loop's tail, so stable loops stay stable and
+    the D5 loop stays reversed.  Tree edges are bridges, so their heads
+    only move within the flip class."""
     nbrs = [[]]  # neighbours in cyclic order; vertex 0 is the marked leaf
 
     def add(node, parent):
@@ -267,14 +284,16 @@ def surface_key(tree, series):
         for child in node or ():
             add(child, v)
 
-    def word(v, entry):
+    def word(v, entry, m):  # m = 1 reads the mirror
         n, i = nbrs[v], nbrs[v].index(entry)
-        return "0" if len(n) == 1 else "1" + word(n[i - 2], v) + word(n[i - 1], v)
+        if len(n) == 1:
+            return "0"
+        return "1" + word(n[i - 2 + m], v, m) + word(n[i - 1 - m], v, m)
 
     add(tree, 0)
-    if series_has_D5(series):
-        return word(1, 0)
-    return min(word(n[0], leaf) for leaf, n in enumerate(nbrs) if len(n) == 1)
+    leaves = [v for v, n in enumerate(nbrs) if len(n) == 1]
+    roots = leaves[1:2] if series_has_D5(series) else leaves
+    return min(word(nbrs[r][0], r, m) for r in roots for m in (0, 1))
 
 
 def series_trees(k, series, shared=False):

@@ -450,10 +450,13 @@ def test_enumerate_7_json(capsys):
      "2e197f3dd42c13f6adf30f64163ece6acf700fa04fe1391771daff81e4a3ed91"),
     (("verify-series", "all", "--s-max", "4", "--json"),
      "ea405ebec5384a3cafc5bb6ee8ad600f2b7cd133f9d7ec2af8280948fc2e4a0c"),
+    (("verify-series", "th1.4", "--s-max", "5", "--json"),
+     "2a1b91d252e4c40ac0ab9bf369e99c07399adebae82e81e4a1f1059eae79feaa"),
 ])
 def test_shared_analysis_pins(capsys, argv, digest):
     """The commands that share one analysis per surface, byte for byte:
-    1,430 th1.2 trees, and every series up to s = 4."""
+    1,430 th1.2 trees, every series up to s = 4, and the 1,430 th1.4
+    trees of s = 5, where only the mirror word shares analyses."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -746,19 +749,20 @@ def test_enumerate_dedup_keeps_class_representatives(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "enumerate", "6", "--dedup", "--json")
     assert code == 0, err
     doc = json.loads(out)
-    assert doc["count"] == 42 and len(lattices_of) == 6 and not formats
+    assert doc["count"] == 42 and len(lattices_of) == 4 and not formats
     representatives = {id(lattices_of[c["trees"][0]]) for c in doc["classes"]}
     assert tests and all(id(args[1]) in representatives for args in tests)
 
 
 def test_enumerate_8_dedup_one_analysis_per_surface(capsys, monkeypatch):
-    """429 trees with 8 loops are 49 surfaces, all in one class."""
+    """429 trees with 8 loops are 27 surfaces up to conjugation, all in
+    one class."""
     tests = count_calls(monkeypatch, cli, "is_isometric")
     analyses = count_calls(monkeypatch, homology, "trivalent_invariants")
     code, out, err = run_cli(capsys, "enumerate", "8", "--dedup", "--json")
     assert code == 0, err
     assert json.loads(out)["count"] == 429
-    assert len(analyses) == 49 and len(tests) <= 48
+    assert len(analyses) == 27 and len(tests) <= 26
 
 
 def test_analyze_parabolic_label_exit_0(tmp_path, capsys):
@@ -803,9 +807,9 @@ def test_one_h_gamma_per_analysis(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1 + len(json.loads(out)["orientation_sweep"])
     calls.clear()
     code, out, _ = run_cli(capsys, "verify-series", "all", "--s-max", "2", "--json")
-    # one analysis per surface: 13 for 18 trees
+    # one analysis per conjugate pair of surfaces: 10 for 18 trees
     assert code == 0 and len(json.loads(out)["results"]) == 18
-    assert len(calls) == 13
+    assert len(calls) == 10
 
 
 def test_one_fiber_types_per_analysis(tmp_path, capsys, monkeypatch):
@@ -831,9 +835,9 @@ def test_one_fiber_types_per_analysis(tmp_path, capsys, monkeypatch):
         assert calls() == before + 1 + len(json.loads(out)["orientation_sweep"])
     before = calls()
     code, out, _ = run_cli(capsys, "verify-series", "all", "--s-max", "2", "--json")
-    # one analysis per surface: 13 for 18 trees
+    # one analysis per conjugate pair of surfaces: 10 for 18 trees
     assert code == 0 and len(json.loads(out)["results"]) == 18
-    assert calls() - before == 13
+    assert calls() - before == 10
 
 
 def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
@@ -864,7 +868,7 @@ def test_one_conversion_per_oriented_skeleton(tmp_path, capsys, monkeypatch):
         assert n == 1 + len(doc["orientation_sweep"])
     n, doc = run("verify-series", "all", "--s-max", "2", "--json")
     assert len(doc["results"]) == 18
-    assert n == len(builds) == len(walks) == 13
+    assert n == len(builds) == len(walks) == 10
     n, doc = run("enumerate", "4", "--json")
     assert n == doc["count"] == len(builds) == len(walks) == 5
 
@@ -1147,9 +1151,9 @@ def test_two_relation_eliminations_per_analysis(tmp_path, capsys, monkeypatch):
         assert len(shapes) == 1
         doc = run("analyze", str(f), "--json", "--orientation-sweep")
         assert len(shapes) == 1 + len(doc["orientation_sweep"])
-    # one analysis per surface: 13 for 18 series trees, 1 for 5 trees
+    # one analysis per conjugate pair: 10 for 18 series trees, 1 for 5 trees
     assert len(run("verify-series", "all", "--s-max", "2", "--json")["results"]) == 18
-    assert len(shapes) == 13
+    assert len(shapes) == 10
     assert run("enumerate", "4", "--dedup", "--json")["count"] == 5
     assert len(shapes) == 1
     assert iso_kernels == []

@@ -186,14 +186,28 @@ def test_tree_edge_orientation_is_irrelevant():
 
 
 def test_surface_key_counts():
-    """The k+1 markings of a plane tree share a key on th1.1/th1.2; on the
-    D5 series every marked tree is its own surface."""
-    for k, surfaces in ((1, 1), (2, 1), (3, 1), (4, 1), (7, 19), (8, 49)):
+    """The k+1 markings of a plane tree and of its mirror share a key on
+    th1.1/th1.2.  On the D5 series a marked tree shares its key with the
+    mirror of its tree rooted at the D5 leaf only, so there are
+    (Catalan(k-1) + mirror-symmetric trees) / 2 keys."""
+    d5_surfaces = [1, 1, 1, 3, 7, 22, 66, 217]
+    for k, surfaces in ((1, 1), (2, 1), (3, 1), (4, 1), (7, 12), (8, 27)):
         trees = enumerate_marked_trees(k)
         assert len({surface_key(t, "th1.1") for t in trees}) == surfaces
         assert {surface_key(t, "th1.1") for t in trees} == {
             surface_key(t, "th1.2") for t in trees}
-        assert len({surface_key(t, "th1.3") for t in trees}) == len(trees)
+    for k, surfaces in enumerate(d5_surfaces, 1):
+        trees = enumerate_marked_trees(k)
+        assert len({surface_key(t, "th1.3") for t in trees}) == surfaces
+        assert {surface_key(t, "th1.3") for t in trees} == {
+            surface_key(t, "th1.4") for t in trees}
+        symmetric = sum(t == mirrored(t) for t in trees)
+        assert 2 * surfaces == len(trees) + symmetric
+
+
+def mirrored(tree):
+    """The binary tree with every node's children swapped."""
+    return None if tree is None else (mirrored(tree[1]), mirrored(tree[0]))
 
 
 def t_mw_fibers(inv):
@@ -248,6 +262,68 @@ def test_relabelling_ends_preserves_the_surface():
         T2, mw2, names2 = t_mw_fibers(
             homology.trivalent_invariants(from_skeleton(sk2, o2)))
         assert is_isometric(T, T2) and mw == mw2 and names == names2
+
+
+def test_mirror_preserves_the_surface():
+    """The mirror (op, nx⁻¹, every head reversed) of an oriented skeleton,
+    its complex conjugate, keeps T up to isometry, MW and the fiber names:
+    the premise of the mirror word in `surface_key`.  Mirroring with the
+    heads kept changes them on some skeleton, so the test tells the two
+    apart."""
+    rng = random.Random(27)
+    kept_differs = 0
+    for _ in range(60):
+        sk = random_skeleton(rng, rng.choice([2, 4, 6, 8]))
+        o = Orientation(tuple(rng.choice(e) for e in sk.edges))
+        mirror = Skeleton(sk.n_ends, sk.op, sk.nx_inv)
+        mirror.validate()
+        T, mw, names = t_mw_fibers(homology.trivalent_invariants(from_skeleton(sk, o)))
+
+        def same_surface(heads):
+            T2, mw2, names2 = t_mw_fibers(
+                homology.trivalent_invariants(from_skeleton(mirror, heads)))
+            return bool(is_isometric(T, T2)) and mw == mw2 and names == names2
+
+        assert same_surface(Orientation(tuple(sk.op[h] for h in o.heads)))
+        kept_differs += not same_surface(o)
+    assert kept_differs
+
+
+def canonical_map(sk, o):
+    """The oriented pseudo-tree up to renumbering its ends, flipping its
+    vertices and mirroring it, independently of `surface_key`: the
+    smallest breadth-first code of (op, nx, loop heads) and of its mirror
+    (op, nx⁻¹, loop heads reversed), over every starting end.  Every edge
+    but a loop is a bridge, so the loop heads are the flip class."""
+    loop_heads = [h for (a, b), h in zip(sk.edges, o.heads)
+                  if sk.vertex_of(a) == sk.vertex_of(b)]
+    codes = []
+    for nx, heads in ((sk.nx, loop_heads), (sk.nx_inv, [sk.op[h] for h in loop_heads])):
+        for start in range(sk.n_ends):
+            label, order = {start: 0}, [start]
+            for e in order:
+                for f in (nx[e], sk.op[e]):
+                    if f not in label:
+                        label[f] = len(order)
+                        order.append(f)
+            codes.append((tuple((label[nx[e]], label[sk.op[e]]) for e in order),
+                          tuple(sorted(label[h] for h in heads))))
+    return min(codes)
+
+
+@pytest.mark.parametrize("series", SERIES)
+def test_surface_key_matches_canonical_maps(series):
+    """For every k <= 7, `surface_key` splits the marked trees into the
+    classes of their oriented skeletons up to renumbering, flips and
+    mirror: a coarser key would skip a surface that is not analysed."""
+    for k in range(1, 8):
+        by_key, by_map = {}, {}
+        for idx, tree in enumerate(enumerate_marked_trees(k)):
+            sk, leaves = tree_to_skeleton(tree)
+            o = orientation_for_series(sk, leaves, series)
+            by_key.setdefault(surface_key(tree, series), []).append(idx)
+            by_map.setdefault(canonical_map(sk, o), []).append(idx)
+        assert sorted(by_key.values()) == sorted(by_map.values())
 
 
 def test_braid_words_shape():
